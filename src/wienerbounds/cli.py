@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -200,6 +201,9 @@ def _report_payload(report: extremal.VerificationReport) -> dict:
 
 
 def _cmd_verify(args) -> int:
+    cpus = os.cpu_count() or 1
+    if args.jobs > cpus:
+        raise ValueError(f"--jobs {args.jobs} exceeds the {cpus} CPUs of this machine")
     h = parse_weight_spec(args.weight)
     if isinstance(h, QWienerWeight) and h.variant == 2 and h.diameter is None:
         raise WeightError(
@@ -209,20 +213,21 @@ def _cmd_verify(args) -> int:
         shard = _parse_shard(args.shard)
         summary = extremal.scan_extremes(args.n, [h], shard=shard, cap=args.cap)
         sc = summary.per_weight[0]
-        _emit_json(
-            {
-                "n": args.n,
-                "weight": h.description,
-                "shard": args.shard,
-                "partial": True,
-                "graphs_scanned": summary.graphs_scanned,
-                "cycle_length_sum": summary.cycle_length_sum,
-                "min_value": str(sc.min_value) if h.exact else sc.min_value,
-                "max_value": str(sc.max_value) if h.exact else sc.max_value,
-                "argmin_count": sc.argmin_count,
-                "argmax_count": sc.argmax_count,
-            }
-        )
+        mode = "exact" if h.exact else "float"
+        payload = {
+            "n": args.n,
+            "weight": h.description,
+            "shard": args.shard,
+            "partial": True,
+            "graphs_scanned": summary.graphs_scanned,
+            "cycle_length_sum": summary.cycle_length_sum,
+            "argmin_count": sc.argmin_count,
+            "argmax_count": sc.argmax_count,
+        }
+        for key, value in (("min_value", sc.min_value), ("max_value", sc.max_value)):
+            # an empty shard has no extreme
+            payload[key] = None if value is None else IndexValue(value, mode, key).to_json_value()
+        _emit_json(payload)
         return 0
     report = extremal.verify_theorem(
         args.n, h, jobs=args.jobs, rel_tol=args.tol, cap=args.cap
@@ -297,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("plain", "json", "csv"), default="json", help="output format"
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized helpers")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compute", help="compute indices of a graph from an edge-list file")
@@ -336,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, help="worker processes for the scan")
     p.add_argument("--tol", type=float, default=1e-9, help="relative tolerance for float weights")
     p.add_argument("--cap", type=int, default=enumeration.DEFAULT_LABELED_CAP)
-    p.add_argument("--json", dest="format", action="store_const", const="json")
-    p.add_argument("--csv", dest="format", action="store_const", const="csv")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("lemmas", help="sweep the closed-form dominance comparisons")

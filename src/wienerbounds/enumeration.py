@@ -40,29 +40,36 @@ def _check_cap(n: int, cap: int) -> None:
         raise EnumerationCapError(n, cap)
 
 
-def _decode_prufer(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
-    """Standard linear-time Prufer decode to a labeled tree edge list."""
+def _decode_prufer(seq: Sequence[int], n: int) -> tuple[list[int], list[int]]:
+    """Linear-time Prufer decode of a labeled tree on n vertices.
+
+    Returns the adjacency bitmasks (bit v of masks[u] set iff uv is an
+    edge) and the vertex degrees.
+    """
     deg = [1] * n
     for s in seq:
         deg[s] += 1
-    edges = []
+    left = deg[:]
+    masks = [0] * n
     ptr = 0
-    while deg[ptr] != 1:
+    while left[ptr] != 1:
         ptr += 1
     leaf = ptr
     for s in seq:
-        edges.append((leaf, s))
-        deg[s] -= 1
-        deg[leaf] -= 1
-        if deg[s] == 1 and s < ptr:
+        masks[leaf] |= 1 << s
+        masks[s] |= 1 << leaf
+        left[s] -= 1
+        left[leaf] -= 1
+        if left[s] == 1 and s < ptr:
             leaf = s
         else:
             ptr += 1
-            while deg[ptr] != 1:
+            while left[ptr] != 1:
                 ptr += 1
             leaf = ptr
-    edges.append((leaf, n - 1))
-    return edges
+    masks[leaf] |= 1 << (n - 1)
+    masks[n - 1] |= 1 << leaf
+    return masks, deg
 
 
 def prufer_to_tree(seq: Sequence[int]) -> Graph:
@@ -72,24 +79,22 @@ def prufer_to_tree(seq: Sequence[int]) -> Graph:
     for s in seq:
         if not (0 <= s < n):
             raise ValueError(f"label {s} out of range 0..{n - 1}")
-    return Graph.from_edges(n, _decode_prufer(seq, n))
+    return graph_from_masks(n, _decode_prufer(seq, n)[0])
 
 
 def _prufer_sequences(n: int, shard: tuple[int, int] | None) -> Iterator[tuple[int, ...]]:
-    """All n-vertex Prufer sequences, optionally restricted to one shard."""
+    """All n-vertex Prufer sequences in rank order, optionally one shard of them.
+
+    product() is lexicographic, which is rank order, so shard (i, k) is the
+    stride-k slice starting at rank i.
+    """
+    seqs = itertools.product(range(n), repeat=n - 2)
     if shard is None:
-        yield from itertools.product(range(n), repeat=n - 2)
-        return
+        return seqs
     i, k = shard
     if not (0 <= i < k):
         raise ValueError(f"bad shard {i}/{k}")
-    total = n ** (n - 2)
-    length = n - 2
-    for t in range(i, total, k):
-        digits = [0] * length
-        for pos in range(length - 1, -1, -1):
-            t, digits[pos] = divmod(t, n)
-        yield tuple(digits)
+    return itertools.islice(seqs, i, None, k)
 
 
 def iter_unicyclic_edge_masks(
@@ -108,29 +113,7 @@ def iter_unicyclic_edge_masks(
     rng = range(n)
     pair_rng = [(u, v) for u in rng for v in range(u + 1, n)]
     for seq in _prufer_sequences(n, shard):
-        # inline Prufer decode straight into adjacency bitmasks
-        deg = [1] * n
-        for s in seq:
-            deg[s] += 1
-        amask = [0] * n
-        ptr = 0
-        while deg[ptr] != 1:
-            ptr += 1
-        leaf = ptr
-        for s in seq:
-            amask[leaf] |= 1 << s
-            amask[s] |= 1 << leaf
-            deg[s] -= 1
-            deg[leaf] -= 1
-            if deg[s] == 1 and s < ptr:
-                leaf = s
-            else:
-                ptr += 1
-                while deg[ptr] != 1:
-                    ptr += 1
-                leaf = ptr
-        amask[leaf] |= 1 << (n - 1)
-        amask[n - 1] |= 1 << leaf
+        amask = _decode_prufer(seq, n)[0]
         # parent/depth arrays rooted at 0, for tree-path walks
         parent = [0] * n
         depth = [0] * n
@@ -229,17 +212,14 @@ def random_unicyclic(n: int, rng: Random) -> Graph:
     if n < 3:
         raise ValueError(f"unicyclic graphs need n >= 3, got {n}")
     seq = [rng.randrange(n) for _ in range(n - 2)]
-    edges = _decode_prufer(seq, n)
-    present = {(min(u, v), max(u, v)) for u, v in edges}
+    masks = _decode_prufer(seq, n)[0]
     while True:
         u = rng.randrange(n)
         v = rng.randrange(n)
-        if u == v:
-            continue
-        e = (min(u, v), max(u, v))
-        if e not in present:
-            edges.append(e)
-            return Graph.from_edges(n, edges)
+        if u != v and not masks[u] >> v & 1:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+            return graph_from_masks(n, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -411,32 +391,10 @@ def scan_tree_path_property(
     rng = range(n)
     for seq in _prufer_sequences(n, shard):
         trees += 1
-        deg = [1] * n
-        for s in seq:
-            deg[s] += 1
-        if max(deg) <= 2:
+        if len(set(seq)) == n - 2:  # no repeated label: every degree <= 2
             paths += 1
             continue
-        amask = [0] * n
-        ptr = 0
-        while deg[ptr] != 1:
-            ptr += 1
-        leaf = ptr
-        d2 = deg[:]
-        for s in seq:
-            amask[leaf] |= 1 << s
-            amask[s] |= 1 << leaf
-            d2[s] -= 1
-            d2[leaf] -= 1
-            if d2[s] == 1 and s < ptr:
-                leaf = s
-            else:
-                ptr += 1
-                while d2[ptr] != 1:
-                    ptr += 1
-                leaf = ptr
-        amask[leaf] |= 1 << (n - 1)
-        amask[n - 1] |= 1 << leaf
+        amask, deg = _decode_prufer(seq, n)
         tcount = [0] * n
         found = False
         for u in rng:

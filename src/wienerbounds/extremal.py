@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .closed_forms import tadpole_closed_form, triangle_star_closed_form
@@ -53,65 +54,64 @@ class ProofMoveError(ValueError):
 
 
 @dataclass
+class Extreme:
+    """One side of a scan: the extreme value so far and the graphs attaining it.
+
+    ``better(a, b)`` is true when value a beats value b: operator.lt on the
+    min side, operator.gt on the max side.
+    """
+
+    better: Callable[[object, object], bool]
+    value: object = None
+    masks: list = field(default_factory=list)  # the first ARGSET_CAP attaining graphs
+    count: int = 0  # every attaining graph
+    # lexicographically smallest attaining graph; invariant under sharding
+    example: tuple | None = None
+
+    def offer(self, value, masks: list, count: int, example: tuple) -> None:
+        """Fold in ``count`` graphs of one value: ``masks`` lists the first of
+        them and ``example`` is the smallest."""
+        current = self.value
+        if current is None or self.better(value, current):
+            self.value = value
+            self.masks = masks[:ARGSET_CAP]
+            self.count = count
+            self.example = example
+        elif value == current:
+            self.masks += masks[: ARGSET_CAP - len(self.masks)]
+            self.count += count
+            self.example = min(self.example, example)
+
+    def merged(self, other: "Extreme") -> "Extreme":
+        out = Extreme(self.better, self.value, list(self.masks), self.count, self.example)
+        if other.count:
+            out.offer(other.value, other.masks, other.count, other.example)
+        return out
+
+
+@dataclass
 class WeightScan:
     """Per-weight aggregate of one exhaustive scan (mergeable across shards)."""
 
     description: str
     exact: bool
-    min_value: object = None
-    max_value: object = None
-    argmin_masks: list = None  # type: ignore[assignment]
-    argmax_masks: list = None  # type: ignore[assignment]
-    argmin_count: int = 0
-    argmax_count: int = 0
-    argmin_truncated: bool = False
-    argmax_truncated: bool = False
-    # lexicographically smallest attaining graphs; invariant under sharding
-    argmin_example: tuple | None = None
-    argmax_example: tuple | None = None
+    lo: Extreme = field(default_factory=lambda: Extreme(operator.lt))
+    hi: Extreme = field(default_factory=lambda: Extreme(operator.gt))
 
-    def __post_init__(self):
-        if self.argmin_masks is None:
-            self.argmin_masks = []
-        if self.argmax_masks is None:
-            self.argmax_masks = []
+    # the flat names that scan callers read
+    min_value = property(lambda self: self.lo.value)
+    max_value = property(lambda self: self.hi.value)
+    argmin_masks = property(lambda self: self.lo.masks)
+    argmax_masks = property(lambda self: self.hi.masks)
+    argmin_count = property(lambda self: self.lo.count)
+    argmax_count = property(lambda self: self.hi.count)
 
     def merged(self, other: "WeightScan") -> "WeightScan":
         if other.description != self.description:
             raise ValueError("cannot merge scans of different weights")
-        out = WeightScan(self.description, self.exact)
-        for side in ("min", "max"):
-            better: Callable = (lambda a, b: a < b) if side == "min" else (lambda a, b: a > b)
-            sv, sm, sc, st, se = (
-                getattr(self, f"{side}_value"),
-                getattr(self, f"arg{side}_masks"),
-                getattr(self, f"arg{side}_count"),
-                getattr(self, f"arg{side}_truncated"),
-                getattr(self, f"arg{side}_example"),
-            )
-            ov, om, oc, ot, oe = (
-                getattr(other, f"{side}_value"),
-                getattr(other, f"arg{side}_masks"),
-                getattr(other, f"arg{side}_count"),
-                getattr(other, f"arg{side}_truncated"),
-                getattr(other, f"arg{side}_example"),
-            )
-            if ov is None or (sv is not None and better(sv, ov)):
-                value, masks, count, trunc, example = sv, sm, sc, st, se
-            elif sv is None or better(ov, sv):
-                value, masks, count, trunc, example = ov, om, oc, ot, oe
-            else:  # equal extremes: combine attaining sets
-                value = sv
-                masks = (sm + om)[:ARGSET_CAP]
-                count = sc + oc
-                trunc = st or ot or len(sm) + len(om) > ARGSET_CAP
-                example = min(se, oe)
-            setattr(out, f"{side}_value", value)
-            setattr(out, f"arg{side}_masks", list(masks))
-            setattr(out, f"arg{side}_count", count)
-            setattr(out, f"arg{side}_truncated", trunc)
-            setattr(out, f"arg{side}_example", example)
-        return out
+        return WeightScan(
+            self.description, self.exact, self.lo.merged(other.lo), self.hi.merged(other.hi)
+        )
 
 
 @dataclass
@@ -164,6 +164,7 @@ def scan_extremes(
     for masks, cyclen in iter_unicyclic_edge_masks(n, shard, cap):
         graphs += 1
         cyclen_sum += cyclen
+        graph = [masks]  # offer() copies what it keeps, so the sides share this
         for d in range(dmax):
             counts[d] = 0
         for s in range(n):
@@ -190,34 +191,8 @@ def scan_extremes(
                 if c:
                     val += (c >> 1) * tab[d]
             sc = scans[w]
-            if sc.min_value is None or val < sc.min_value:
-                sc.min_value = val
-                sc.argmin_masks = [masks]
-                sc.argmin_count = 1
-                sc.argmin_truncated = False
-                sc.argmin_example = masks
-            elif val == sc.min_value:
-                sc.argmin_count += 1
-                if masks < sc.argmin_example:
-                    sc.argmin_example = masks
-                if len(sc.argmin_masks) < ARGSET_CAP:
-                    sc.argmin_masks.append(masks)
-                else:
-                    sc.argmin_truncated = True
-            if sc.max_value is None or val > sc.max_value:
-                sc.max_value = val
-                sc.argmax_masks = [masks]
-                sc.argmax_count = 1
-                sc.argmax_truncated = False
-                sc.argmax_example = masks
-            elif val == sc.max_value:
-                sc.argmax_count += 1
-                if masks < sc.argmax_example:
-                    sc.argmax_example = masks
-                if len(sc.argmax_masks) < ARGSET_CAP:
-                    sc.argmax_masks.append(masks)
-                else:
-                    sc.argmax_truncated = True
+            sc.lo.offer(val, graph, 1, masks)
+            sc.hi.offer(val, graph, 1, masks)
     return ScanSummary(n, graphs, cyclen_sum, scans)
 
 
@@ -298,6 +273,19 @@ def _distinct_forms(n: int, masks_list) -> tuple[bytes, ...]:
     return tuple(sorted(forms))
 
 
+def _attained_by_class_only(n: int, side: Extreme, expected: Graph, aut: int) -> bool:
+    """Whether the graphs attaining ``side`` are exactly the labeled copies of
+    ``expected``, whose automorphism group has order ``aut``.
+
+    All n!/aut copies share one value, so the attaining set is that class
+    iff it has n!/aut members and one of them lies in the class.  Unlike the
+    stored masks, the count is never truncated.
+    """
+    return side.count == math.factorial(n) // aut and canonical_form(
+        graph_from_masks(n, side.example)
+    ) == canonical_form(expected)
+
+
 def _masks_to_edges(n: int, masks) -> tuple[tuple[int, int], ...]:
     return tuple(
         (u, v) for u in range(n) for v in range(u + 1, n) if masks[u] >> v & 1
@@ -323,11 +311,7 @@ def verify_theorem_many(
                 "the extremal characterization does not apply"
             )
         classes.append(mono)
-    summary = (
-        scan_extremes_parallel(n, weights, jobs, cap=cap)
-        if jobs > 1
-        else scan_extremes(n, weights, cap=cap)
-    )
+    summary = scan_extremes_parallel(n, weights, jobs, cap=cap)
     reports = []
     for h, mono, sc in zip(weights, classes, summary.per_weight):
         mode = "exact" if h.exact else "float"
@@ -338,29 +322,21 @@ def verify_theorem_many(
         applicable = n >= 6
         kwargs: dict = {}
         if applicable:
-            star_like = triangle_star(n)
-            tadpole_like = tadpole(3, n)
-            star_value = triangle_star_closed_form(n, h)
-            tadpole_value = tadpole_closed_form(3, n, h)
-            if mono is Monotonicity.STRICTLY_INCREASING:
-                expected_min, expected_min_g = star_value, star_like
-                expected_max, expected_max_g = tadpole_value, tadpole_like
-            else:
-                expected_min, expected_min_g = tadpole_value, tadpole_like
-                expected_max, expected_max_g = star_value, star_like
-            min_form = canonical_form(expected_min_g)
-            max_form = canonical_form(expected_max_g)
+            # (closed form, graph, |Aut|): Aut(J_n) swaps the two bare triangle
+            # vertices and permutes the n-3 pendants; Aut(F_3,n) only swaps
+            star = (triangle_star_closed_form(n, h), triangle_star(n), 2 * math.factorial(n - 3))
+            tad = (tadpole_closed_form(3, n, h), tadpole(3, n), 2)
+            increasing = mono is Monotonicity.STRICTLY_INCREASING
+            (min_cf, min_g, min_aut), (max_cf, max_g, max_aut) = (
+                (star, tad) if increasing else (tad, star)
+            )
             kwargs = dict(
-                expected_min=expected_min,
-                expected_max=expected_max,
-                min_value_ok=_values_match(sc.min_value, expected_min.value, rel_tol),
-                min_unique_ok=(
-                    not sc.argmin_truncated and argmin_forms == (min_form,)
-                ),
-                max_value_ok=_values_match(sc.max_value, expected_max.value, rel_tol),
-                max_unique_ok=(
-                    not sc.argmax_truncated and argmax_forms == (max_form,)
-                ),
+                expected_min=min_cf,
+                expected_max=max_cf,
+                min_value_ok=_values_match(sc.min_value, min_cf.value, rel_tol),
+                min_unique_ok=_attained_by_class_only(n, sc.lo, min_g, min_aut),
+                max_value_ok=_values_match(sc.max_value, max_cf.value, rel_tol),
+                max_unique_ok=_attained_by_class_only(n, sc.hi, max_g, max_aut),
             )
         reports.append(
             VerificationReport(
@@ -375,8 +351,8 @@ def verify_theorem_many(
                 argmax_forms=argmax_forms,
                 argmin_count=sc.argmin_count,
                 argmax_count=sc.argmax_count,
-                argmin_example=_masks_to_edges(n, sc.argmin_example),
-                argmax_example=_masks_to_edges(n, sc.argmax_example),
+                argmin_example=_masks_to_edges(n, sc.lo.example),
+                argmax_example=_masks_to_edges(n, sc.hi.example),
                 applicable=applicable,
                 **kwargs,
             )

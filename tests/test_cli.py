@@ -221,10 +221,36 @@ class TestVerify:
         assert code == 2 and "diameter" in err
 
     def test_csv_report_row_is_well_formed(self, capsys):
-        code, out, _ = run(capsys, "verify", "--n", "6", "--weight", "power:1", "--csv")
+        code, out, _ = run(
+            capsys, "--format", "csv", "verify", "--n", "6", "--weight", "power:1"
+        )
         assert code == 0
         header, row = out.strip().splitlines()
         assert len(row.split(",")) == len(header.split(","))
+
+    def test_jobs_above_cpu_count_rejected_before_any_process(self, capsys, monkeypatch):
+        import multiprocessing
+
+        def no_processes(*args, **kwargs):
+            raise AssertionError("a process context was requested")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_processes)
+        code, out, err = run(
+            capsys, "verify", "--n", "6", "--weight", "power:1", "--jobs", "1000000"
+        )
+        assert code == 2 and out == ""
+        assert "--jobs 1000000" in err and "CPUs" in err
+
+    @pytest.mark.parametrize("weight", ["power:1", "power:-1"])
+    def test_empty_shard_has_null_extremes(self, capsys, weight):
+        # 4^2 = 16 Prufer ranks, so shard 50/100 holds none of them
+        code, out, _ = run(
+            capsys, "verify", "--n", "4", "--weight", weight, "--shard", "50/100"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["graphs_scanned"] == 0
+        assert payload["min_value"] is None and payload["max_value"] is None
 
 
 class TestLemmas:

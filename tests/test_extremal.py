@@ -1,7 +1,9 @@
+import math
 import random
 
 import pytest
 
+from wienerbounds import extremal
 from wienerbounds.closed_forms import tadpole_closed_form
 from wienerbounds.enumeration import canonical_form, random_unicyclic
 from wienerbounds.extremal import (
@@ -131,6 +133,28 @@ class TestVerifyTheorem:
         assert (a.min_value, a.max_value) == (b.min_value, b.max_value)
         assert (a.argmin_count, a.argmax_count) == (b.argmin_count, b.argmax_count)
         assert sorted(a.argmin_masks) == sorted(b.argmin_masks)
+
+    @pytest.mark.parametrize("n, argmin, argmax", [(6, 60, 360), (7, 105, 2520)])
+    def test_attaining_counts_are_orbit_sizes(self, n, argmin, argmax):
+        # n!/|Aut|: |Aut(J_n)| = 2 (n-3)!, |Aut(F_3,n)| = 2
+        sc = scan_extremes(n, [PowerWeight(1)]).per_weight[0]
+        assert sc.argmin_count == math.factorial(n) // (2 * math.factorial(n - 3)) == argmin
+        assert sc.argmax_count == math.factorial(n) // 2 == argmax
+
+    def test_uniqueness_survives_a_truncated_argset(self, monkeypatch):
+        monkeypatch.setattr(extremal, "ARGSET_CAP", 100)
+        report = verify_theorem(6, PowerWeight(1))
+        assert report.argmax_count == 360  # only the first 100 masks are kept
+        assert report.argmax_forms == (canonical_form(tadpole(3, 6)),)
+        assert report.max_unique_ok is True
+        assert report.claims_ok() is True
+
+    def test_uniqueness_needs_the_full_orbit_of_the_expected_class(self):
+        sc = scan_extremes(6, [PowerWeight(1)]).per_weight[0]
+        unique = extremal._attained_by_class_only
+        assert unique(6, sc.hi, tadpole(3, 6), 2) is True
+        assert unique(6, sc.hi, triangle_star(6), 2 * math.factorial(3)) is False
+        assert unique(6, sc.hi, tadpole(3, 6), 1) is False  # count != 6!/1
 
 
 class TestDominanceSweep:
