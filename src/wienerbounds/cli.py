@@ -57,6 +57,14 @@ def _emit_rows(rows: list[dict], fmt: str) -> None:
             print("\t".join(str(v) for v in row.values()))
 
 
+def _emit_record(payload: dict, fmt: str) -> None:
+    """One record: a JSON object, or a one-row table under csv and plain."""
+    if fmt == "json":
+        _emit_json(payload)
+    else:
+        _emit_rows([payload], fmt)
+
+
 def _index_row(iv: IndexValue) -> dict:
     return {"index_name": iv.index_name, "value": iv.to_json_value(), "mode": iv.mode}
 
@@ -141,17 +149,21 @@ def _cmd_closed_form(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     shard = _parse_shard(args.shard) if args.shard else None
+    if args.unlabeled and shard is not None:
+        # a class's first labeled member can fall in any shard
+        raise ValueError("--unlabeled takes no --shard: class counts do not add up across shards")
     if args.count_only:
         if args.unlabeled:
             count = sum(1 for _ in enumeration.enumerate_unicyclic_unlabeled(args.n, cap=args.cap))
-            _emit_json({"n": args.n, "unlabeled_count": count})
+            payload = {"n": args.n, "unlabeled_count": count}
         else:
             count = 0
             cyclen = 0
             for _masks, r in enumeration.iter_unicyclic_edge_masks(args.n, shard, cap=args.cap):
                 count += 1
                 cyclen += r
-            _emit_json({"n": args.n, "labeled_count": count, "cycle_length_sum": cyclen})
+            payload = {"n": args.n, "labeled_count": count, "cycle_length_sum": cyclen}
+        _emit_record(payload, args.format)
         return 0
     stream = (
         enumeration.enumerate_unicyclic_unlabeled(args.n, cap=args.cap)
@@ -227,19 +239,16 @@ def _cmd_verify(args) -> int:
         for key, value in (("min_value", sc.min_value), ("max_value", sc.max_value)):
             # an empty shard has no extreme
             payload[key] = None if value is None else IndexValue(value, mode, key).to_json_value()
-        _emit_json(payload)
+        _emit_record(payload, args.format)
         return 0
     report = extremal.verify_theorem(
         args.n, h, jobs=args.jobs, rel_tol=args.tol, cap=args.cap
     )
     payload = _report_payload(report)
-    if args.format == "csv":
-        flat = dict(payload)
+    if args.format != "json":
         for key in ("argmin_example", "argmax_example"):
-            flat[key] = " ".join(f"{u}-{v}" for u, v in payload[key])
-        _emit_rows([flat], "csv")
-    else:
-        _emit_json(payload)
+            payload[key] = " ".join(f"{u}-{v}" for u, v in payload[key])
+    _emit_record(payload, args.format)
     ok = report.claims_ok()
     return 0 if ok is None or ok else CLAIM_VIOLATION
 
@@ -254,16 +263,21 @@ def _cmd_lemmas(args) -> int:
         "pairs_checked": len(results),
         "violations": [list(v) for v in violations],
     }
-    if args.format == "csv":
+    if args.format == "json":
+        _emit_json(payload)
+    elif args.format == "csv":
         print("r,n,ok")
         for r, n, ok in results:
             print(f"{r},{n},{ok}")
     else:
-        _emit_json(payload)
+        for r, n, ok in results:
+            print(f"{r}\t{n}\t{ok}")
     return CLAIM_VIOLATION if violations else 0
 
 
 def _cmd_search(args) -> int:
+    if args.format != "json":
+        raise ValueError(f"search nests its moves, so it prints only json, not {args.format}")
     g = _load_graph(args.graph)
     h = parse_weight_spec(args.weight)
     moves: list[dict] = []

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterator, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, GraphError, is_connected
 
 DEFAULT_LABELED_CAP = 9
 DEFAULT_UNLABELED_CAP = 8
@@ -32,12 +32,6 @@ class EnumerationCapError(ValueError):
         super().__init__(f"n={n} exceeds the enumeration cap {cap}")
         self.n = n
         self.cap = cap
-
-
-def _check_cap(n: int, cap: int) -> None:
-    cap = min(cap, HARD_CAP)
-    if n > cap:
-        raise EnumerationCapError(n, cap)
 
 
 def _decode_prufer(seq: Sequence[int], n: int) -> tuple[list[int], list[int]]:
@@ -109,7 +103,9 @@ def iter_unicyclic_edge_masks(
     """
     if n < 3:
         raise ValueError(f"unicyclic graphs need n >= 3, got {n}")
-    _check_cap(n, cap)
+    cap = min(cap, HARD_CAP)
+    if n > cap:
+        raise EnumerationCapError(n, cap)
     rng = range(n)
     pair_rng = [(u, v) for u in rng for v in range(u + 1, n)]
     for seq in _prufer_sequences(n, shard):
@@ -223,105 +219,83 @@ def random_unicyclic(n: int, rng: Random) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# canonical forms
+# isomorphism classes
 
 
-def _ranks(items: list) -> list[int]:
-    order = {s: i for i, s in enumerate(sorted(set(items)))}
-    return [order[s] for s in items]
+def class_key(n: int, masks: Sequence[int]) -> tuple[str, ...]:
+    """Complete isomorphism invariant of a connected graph with at most one
+    cycle, given by its adjacency bitmasks; other graphs get no defined key.
 
-
-def _refined_colors(g: Graph) -> list[int]:
-    """Iterated neighbourhood refinement starting from degree ranks."""
-    colors = _ranks([len(a) for a in g.adj])
-    while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in g.adj[v])))
-            for v in range(g.n)
-        ]
-        new = _ranks(sigs)
-        if new == colors:
-            return colors
-        colors = new
+    Leaves are peeled one layer at a time until a cycle remains (no leaf
+    left) or a tree centre remains (at most two vertices).  Each vertex gets
+    the AHU code of the rooted tree it carries: "(" + its children's codes,
+    sorted and joined, + ")".  A tree's key is its centre codes, sorted; a
+    unicyclic graph's key is its cycle of codes read from the
+    lexicographically least rotation or reflection.  Two graphs of the domain
+    have equal keys iff they are isomorphic.
+    """
+    deg = [m.bit_count() for m in masks]
+    tree = sum(deg) == 2 * n - 2
+    kids: list[list[str]] = [[] for _ in range(n)]
+    alive = (1 << n) - 1
+    layer = [v for v in range(n) if deg[v] == 1]
+    while layer and not (tree and alive.bit_count() <= 2):
+        for v in layer:
+            alive ^= 1 << v
+        nxt = []
+        for v in layer:
+            p = (masks[v] & alive).bit_length() - 1
+            kids[p].append("(" + "".join(sorted(kids[v])) + ")")
+            deg[p] -= 1
+            if deg[p] == 1:
+                nxt.append(p)
+        layer = nxt
+    code = {v: "(" + "".join(sorted(kids[v])) + ")" for v in range(n) if alive >> v & 1}
+    if tree:
+        return tuple(sorted(code.values()))
+    ring = []
+    x = prev = min(code)
+    for _ in code:  # walk the cycle from its lowest vertex
+        ring.append(code[x])
+        prev, x = x, (masks[x] & alive & ~(1 << prev)).bit_length() - 1
+    r = len(ring)
+    first = min(ring)
+    return tuple(
+        min(s[i : i + r] for s in (ring * 2, ring[::-1] * 2) for i in range(r) if s[i] == first)
+    )
 
 
 def canonical_form(g: Graph) -> bytes:
-    """Canonical byte string: edge list under the minimizing relabeling.
+    """Canonical byte string: n, then the sorted edge pairs of a fixed
+    representative of the isomorphism class.
 
-    Vertices are assigned positions color class by color class (classes from
-    neighbourhood refinement, which any isomorphism preserves); within that
-    constraint a backtracking search minimizes the adjacency bit string read
-    position by position.  Two graphs get equal bytes iff they are isomorphic.
+    The representative is decoded from ``class_key`` in preorder: the core
+    (centre or cycle) takes labels 0..c-1 in key order, then each subtree is
+    labelled as its code is read.  Two graphs get equal bytes iff they are
+    isomorphic, and the bytes decode to an isomorphic copy.  The domain is the
+    connected graphs with at most one cycle and at most 255 vertices (one
+    byte per label); any other graph raises GraphError.
     """
     n = g.n
-    if n == 1:
-        return bytes([1])
-    adjsets = [set(a) for a in g.adj]
-    colors = _refined_colors(g)
-    pos_color = sorted(colors)
-    by_color: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        by_color.setdefault(c, []).append(v)
-
-    best: list[int] | None = None
-    cur = [0] * (n - 1)
-    assigned: list[int] = []
-    used = [False] * n
-
-    def dfs(p: int) -> None:
-        nonlocal best
-        if p == n:
-            if best is None or cur < best:
-                best = cur[:]
-            return
-        if p == 0:
-            for v in by_color[pos_color[0]]:
-                used[v] = True
-                assigned.append(v)
-                dfs(1)
-                assigned.pop()
-                used[v] = False
-            return
-        cands = []
-        seen_twins = set()
-        for v in by_color[pos_color[p]]:
-            if used[v]:
-                continue
-            av = adjsets[v]
-            chunk = 0
-            for w in assigned:
-                chunk = (chunk << 1) | (1 if w in av else 0)
-            # vertices with identical neighbourhoods are swapped by an
-            # automorphism, so one representative per chunk suffices
-            twin_key = (chunk, frozenset(av))
-            if twin_key in seen_twins:
-                continue
-            seen_twins.add(twin_key)
-            cands.append((chunk, v))
-        m = min(c for c, _ in cands)
-        if best is not None:
-            pre = cur[: p - 1]
-            bpre = best[: p - 1]
-            if pre > bpre or (pre == bpre and m > best[p - 1]):
-                return
-        cur[p - 1] = m
-        for chunk, v in cands:
-            if chunk != m:
-                continue
-            used[v] = True
-            assigned.append(v)
-            dfs(p + 1)
-            assigned.pop()
-            used[v] = False
-
-    dfs(0)
-    assert best is not None
-    edges = []
-    for p in range(1, n):
-        chunk = best[p - 1]
-        for i in range(p):
-            if chunk >> (p - 1 - i) & 1:
-                edges.append((i, p))
+    if n > 255:
+        raise GraphError(f"canonical_form writes labels as bytes: at most 255 vertices, got {n}")
+    if g.edge_count not in (n - 1, n) or not is_connected(g):
+        raise GraphError("canonical_form needs a connected graph with at most one cycle")
+    key = class_key(n, g.adjacency_masks())
+    c = len(key)
+    edges = [(i, i + 1) for i in range(c - 1)]
+    if c >= 3:
+        edges.append((0, c - 1))
+    label = c
+    for i, code in enumerate(key):
+        stack = [i]
+        for ch in code[1:-1]:
+            if ch == "(":
+                edges.append((stack[-1], label))
+                stack.append(label)
+                label += 1
+            else:
+                stack.pop()
     edges.sort()
     out = bytearray([n])
     for a, b in edges:
@@ -337,14 +311,14 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
 def enumerate_unicyclic_unlabeled(
     n: int, cap: int = DEFAULT_UNLABELED_CAP
 ) -> Iterator[Graph]:
-    """One representative per isomorphism class, filtered by canonical form."""
-    _check_cap(n, cap)
-    seen: set[bytes] = set()
-    for g in enumerate_unicyclic_labeled(n, cap=cap):
-        key = canonical_form(g)
+    """One representative per isomorphism class: the first labeled graph of
+    each class in stream order."""
+    seen: set[tuple[str, ...]] = set()
+    for masks, _cyclen in iter_unicyclic_edge_masks(n, cap=cap):
+        key = class_key(n, masks)
         if key not in seen:
             seen.add(key)
-            yield g
+            yield graph_from_masks(n, masks)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .closed_forms import tadpole_closed_form, triangle_star_closed_form
 from .enumeration import (
     DEFAULT_LABELED_CAP,
     canonical_form,
+    class_key,
     graph_from_masks,
     iter_unicyclic_edge_masks,
 )
@@ -269,8 +270,8 @@ def _values_match(a, b, rel_tol: float) -> bool:
 
 
 def _distinct_forms(n: int, masks_list) -> tuple[bytes, ...]:
-    forms = {canonical_form(graph_from_masks(n, masks)) for masks in masks_list}
-    return tuple(sorted(forms))
+    members = {class_key(n, masks): masks for masks in masks_list}  # one graph per class
+    return tuple(sorted(canonical_form(graph_from_masks(n, m)) for m in members.values()))
 
 
 def _attained_by_class_only(n: int, side: Extreme, expected: Graph, aut: int) -> bool:
@@ -281,9 +282,9 @@ def _attained_by_class_only(n: int, side: Extreme, expected: Graph, aut: int) ->
     iff it has n!/aut members and one of them lies in the class.  Unlike the
     stored masks, the count is never truncated.
     """
-    return side.count == math.factorial(n) // aut and canonical_form(
-        graph_from_masks(n, side.example)
-    ) == canonical_form(expected)
+    return side.count == math.factorial(n) // aut and class_key(
+        n, side.example
+    ) == class_key(n, expected.adjacency_masks())
 
 
 def _masks_to_edges(n: int, masks) -> tuple[tuple[int, int], ...]:

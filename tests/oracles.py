@@ -2,7 +2,9 @@
 
 Everything here recomputes results from first principles (per-pair BFS,
 brute-force subset enumeration) so the package's distribution-based fast
-paths are checked against a second route.
+paths are checked against a second route.  ``backtrack_canonical_form`` is
+the general-purpose canonical form the package used before its leaf-peeling
+class key, kept here as the isomorphism oracle for it.
 """
 
 from __future__ import annotations
@@ -68,3 +70,113 @@ def all_connected_n_edge_graphs(n: int) -> list[frozenset[tuple[int, int]]]:
         if nx.is_connected(ng):
             out.append(frozenset(subset))
     return out
+
+
+# ---------------------------------------------------------------------------
+# isomorphism oracle: backtracking canonical form
+
+
+def _ranks(items: list) -> list[int]:
+    order = {s: i for i, s in enumerate(sorted(set(items)))}
+    return [order[s] for s in items]
+
+
+def _refined_colors(g: Graph) -> list[int]:
+    """Iterated neighbourhood refinement starting from degree ranks."""
+    colors = _ranks([len(a) for a in g.adj])
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted(colors[u] for u in g.adj[v])))
+            for v in range(g.n)
+        ]
+        new = _ranks(sigs)
+        if new == colors:
+            return colors
+        colors = new
+
+
+def backtrack_canonical_form(g: Graph) -> bytes:
+    """Oracle: canonical byte string by a general backtracking search, for any
+    simple graph.  The package's leaf-peeling canonical_form is checked
+    against it.  Edge list under the minimizing relabeling.
+
+    Vertices are assigned positions color class by color class (classes from
+    neighbourhood refinement, which any isomorphism preserves); within that
+    constraint a backtracking search minimizes the adjacency bit string read
+    position by position.  Two graphs get equal bytes iff they are isomorphic.
+    """
+    n = g.n
+    if n == 1:
+        return bytes([1])
+    adjsets = [set(a) for a in g.adj]
+    colors = _refined_colors(g)
+    pos_color = sorted(colors)
+    by_color: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        by_color.setdefault(c, []).append(v)
+
+    best: list[int] | None = None
+    cur = [0] * (n - 1)
+    assigned: list[int] = []
+    used = [False] * n
+
+    def dfs(p: int) -> None:
+        nonlocal best
+        if p == n:
+            if best is None or cur < best:
+                best = cur[:]
+            return
+        if p == 0:
+            for v in by_color[pos_color[0]]:
+                used[v] = True
+                assigned.append(v)
+                dfs(1)
+                assigned.pop()
+                used[v] = False
+            return
+        cands = []
+        seen_twins = set()
+        for v in by_color[pos_color[p]]:
+            if used[v]:
+                continue
+            av = adjsets[v]
+            chunk = 0
+            for w in assigned:
+                chunk = (chunk << 1) | (1 if w in av else 0)
+            # vertices with identical neighbourhoods are swapped by an
+            # automorphism, so one representative per chunk suffices
+            twin_key = (chunk, frozenset(av))
+            if twin_key in seen_twins:
+                continue
+            seen_twins.add(twin_key)
+            cands.append((chunk, v))
+        m = min(c for c, _ in cands)
+        if best is not None:
+            pre = cur[: p - 1]
+            bpre = best[: p - 1]
+            if pre > bpre or (pre == bpre and m > best[p - 1]):
+                return
+        cur[p - 1] = m
+        for chunk, v in cands:
+            if chunk != m:
+                continue
+            used[v] = True
+            assigned.append(v)
+            dfs(p + 1)
+            assigned.pop()
+            used[v] = False
+
+    dfs(0)
+    assert best is not None
+    edges = []
+    for p in range(1, n):
+        chunk = best[p - 1]
+        for i in range(p):
+            if chunk >> (p - 1 - i) & 1:
+                edges.append((i, p))
+    edges.sort()
+    out = bytearray([n])
+    for a, b in edges:
+        out.append(a)
+        out.append(b)
+    return bytes(out)

@@ -162,6 +162,28 @@ class TestEnumerate:
         _, out, _ = run(capsys, "enumerate", "--n", "5", "--count-only", "--unlabeled")
         assert json.loads(out)["unlabeled_count"] == 5
 
+    def test_unlabeled_shard_rejected_before_any_stream(self, capsys, monkeypatch):
+        from wienerbounds import enumeration
+
+        def no_stream(*args, **kwargs):
+            raise AssertionError("a graph stream was started")
+
+        monkeypatch.setattr(enumeration, "iter_unicyclic_edge_masks", no_stream)
+        code, out, err = run(
+            capsys, "enumerate", "--n", "5", "--unlabeled", "--count-only", "--shard", "1/4"
+        )
+        assert code == 2 and out == ""
+        assert "--unlabeled" in err and "--shard" in err
+
+    @pytest.mark.parametrize(
+        "fmt, expected",
+        [("csv", "n,labeled_count,cycle_length_sum\n5,222,750\n"), ("plain", "5\t222\t750\n")],
+        ids=["csv", "plain"],
+    )
+    def test_count_only_honours_format(self, capsys, fmt, expected):
+        code, out, _ = run(capsys, "--format", fmt, "enumerate", "--n", "5", "--count-only")
+        assert code == 0 and out == expected
+
     def test_stream_json_lines(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--n", "4")
         lines = out.strip().splitlines()
@@ -228,6 +250,16 @@ class TestVerify:
         header, row = out.strip().splitlines()
         assert len(row.split(",")) == len(header.split(","))
 
+    def test_plain_report_is_the_csv_row_tab_separated(self, capsys):
+        argv = ["verify", "--n", "6", "--weight", "power:1"]
+        _, csv_out, _ = run(capsys, "--format", "csv", *argv)
+        code, out, _ = run(capsys, "--format", "plain", *argv)
+        assert code == 0
+        header, csv_row = csv_out.splitlines()
+        (row,) = out.splitlines()
+        assert row.split("\t") == csv_row.split(",")
+        assert dict(zip(header.split(","), row.split("\t")))["argmax_count"] == "360"
+
     def test_jobs_above_cpu_count_rejected_before_any_process(self, capsys, monkeypatch):
         import multiprocessing
 
@@ -273,6 +305,13 @@ class TestLemmas:
         assert lines[0] == "r,n,ok"
         assert lines[1] == "4,4,False"
 
+    def test_plain_rows(self, capsys):
+        code, out, _ = run(
+            capsys, "--format", "plain", "lemmas", "--nmax", "5", "--weight", "power:2"
+        )
+        assert code == 1
+        assert out.splitlines() == ["4\t4\tFalse", "4\t5\tTrue", "5\t5\tTrue"]
+
 
 class TestSearch:
     def test_search_from_triangle_star(self, capsys, j6_file):
@@ -285,6 +324,14 @@ class TestSearch:
         assert all(
             int(m["value_after"]) > int(m["value_before"]) for m in payload["moves"]
         )
+
+    @pytest.mark.parametrize("fmt", ["csv", "plain"])
+    def test_only_json_output(self, capsys, j6_file, fmt):
+        code, out, err = run(
+            capsys, "--format", fmt, "search", "--graph", j6_file, "--weight", "power:1"
+        )
+        assert code == 2 and out == ""
+        assert "only json" in err
 
     def test_search_rejects_tree(self, capsys, tmp_path):
         p = tmp_path / "p5.txt"

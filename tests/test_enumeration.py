@@ -4,6 +4,7 @@ import random
 import networkx as nx
 import pytest
 
+from wienerbounds import enumeration
 from wienerbounds.enumeration import (
     EnumerationCapError,
     TreeScan,
@@ -17,7 +18,7 @@ from wienerbounds.enumeration import (
     scan_tree_path_property,
 )
 from wienerbounds.families import cycle, path, star, tadpole, triangle_star
-from wienerbounds.graphs import Graph, is_unicyclic, relabel
+from wienerbounds.graphs import Graph, GraphError, is_unicyclic, relabel
 
 import oracles
 
@@ -114,6 +115,10 @@ class TestCanonicalForms:
     def test_invariance_under_random_relabelings(self):
         rng = random.Random(2024)
         samples = [cycle(8), cycle(9), tadpole(4, 9), triangle_star(9), path(7), star(8)]
+        # vertex 3 hangs off the triangle and carries a 2-path and a cherry:
+        # two subtrees of one height whose codes must be sorted to compare
+        edges = [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (4, 5), (3, 6), (6, 7), (6, 8)]
+        samples.append(Graph.from_edges(9, edges))
         samples += [random_unicyclic(rng.randrange(5, 10), rng) for _ in range(10)]
         for g in samples:
             base = canonical_form(g)
@@ -142,8 +147,47 @@ class TestCanonicalForms:
         edges = [(blob[i], blob[i + 1]) for i in range(1, len(blob), 2)]
         assert are_isomorphic(Graph.from_edges(n, edges), g)
 
+    @pytest.mark.parametrize("n,classes", [(2, 1), (3, 1), (4, 2), (5, 3), (6, 6), (7, 11)])
+    def test_free_tree_counts(self, n, classes):
+        # OEIS A000055: unlabeled trees on n vertices, from all n^(n-2) labeled ones
+        forms = {
+            canonical_form(prufer_to_tree(seq))
+            for seq in itertools.product(range(n), repeat=n - 2)
+        }
+        assert len(forms) == classes
+
+    @pytest.mark.parametrize(
+        "n,edges",
+        [
+            (4, [(0, 1), (2, 3)]),  # too few edges
+            (4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]),  # too many edges
+            (4, [(0, 1), (1, 2), (0, 2)]),  # n - 1 edges: a triangle and a lone vertex
+            (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),  # two triangles
+            (6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (4, 5)]),  # two cycles and an edge
+            (5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]),  # two cycles and a lone vertex
+        ],
+    )
+    def test_rejects_graphs_outside_the_domain(self, n, edges):
+        with pytest.raises(GraphError, match="at most one cycle"):
+            canonical_form(Graph.from_edges(n, edges))
+
+    def test_vertex_limit_is_checked_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the class key was computed")
+
+        monkeypatch.setattr(enumeration, "class_key", no_work)
+        with pytest.raises(GraphError, match="at most 255 vertices"):
+            canonical_form(path(300))
+
+    def test_largest_byte_sized_graph(self):
+        blob = canonical_form(path(255))
+        assert blob[0] == 255 and len(blob) == 1 + 2 * 254
+
 
 class TestUnlabeledEnumeration:
+    def test_n3_one_class(self):
+        assert list(enumerate_unicyclic_unlabeled(3)) == [cycle(3)]
+
     def test_n4_two_classes(self):
         assert len(list(enumerate_unicyclic_unlabeled(4))) == 2
 

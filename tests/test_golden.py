@@ -1,8 +1,8 @@
 """Frozen CLI outputs: stdout and exit code of a fixed command set, byte for byte.
 
 Each case's stdout lives in ``golden/<name>.out``; the edge-list inputs the
-cases read live beside them.  A refactor of the scan pipeline must leave
-every one of these unchanged.
+cases read live beside them.  A refactor of the scan pipeline or of the
+isomorphism-class test must leave every one of these unchanged.
 """
 
 from pathlib import Path
@@ -25,6 +25,7 @@ CASES = {
     "enumerate_4": (["enumerate", "--n", "4"], 0),
     "enumerate_6_count_shard": (["enumerate", "--n", "6", "--count-only", "--shard", "1/4"], 0),
     "enumerate_unlabeled_5": (["enumerate", "--unlabeled", "--n", "5"], 0),
+    "enumerate_unlabeled_6": (["enumerate", "--unlabeled", "--n", "6"], 0),
     "verify_5": (["verify", "--n", "5", "--weight", "power:1"], 0),
     "verify_6_power_-1": (["verify", "--n", "6", "--weight", "power:-1"], 0),
     "verify_6_shard_1_3": (["verify", "--n", "6", "--weight", "power:1", "--shard", "1/3"], 0),
