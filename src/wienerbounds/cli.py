@@ -47,14 +47,12 @@ def _emit_json(payload) -> None:
 def _emit_rows(rows: list[dict], fmt: str) -> None:
     if fmt == "json":
         _emit_json(rows)
-    elif fmt == "csv":
-        header = list(rows[0].keys()) if rows else []
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(row[k]) for k in header))
-    else:
-        for row in rows:
-            print("\t".join(str(v) for v in row.values()))
+        return
+    sep = "," if fmt == "csv" else "\t"
+    if fmt == "csv":
+        print(sep.join(rows[0] if rows else ()))
+    for row in rows:  # null is an empty field
+        print(sep.join("" if v is None else str(v) for v in row.values()))
 
 
 def _emit_record(payload: dict, fmt: str) -> None:

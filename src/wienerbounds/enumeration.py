@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterator, Sequence
 
-from .graphs import Graph, GraphError, is_connected
+from .graphs import Graph, GraphError, is_connected, peel_leaves
 
 DEFAULT_LABELED_CAP = 9
 DEFAULT_UNLABELED_CAP = 8
@@ -226,32 +226,20 @@ def class_key(n: int, masks: Sequence[int]) -> tuple[str, ...]:
     """Complete isomorphism invariant of a connected graph with at most one
     cycle, given by its adjacency bitmasks; other graphs get no defined key.
 
-    Leaves are peeled one layer at a time until a cycle remains (no leaf
-    left) or a tree centre remains (at most two vertices).  Each vertex gets
+    ``peel_leaves`` strips leaves one layer at a time until a cycle (no leaf
+    left) or a tree centre (at most two vertices) remains.  Each vertex gets
     the AHU code of the rooted tree it carries: "(" + its children's codes,
     sorted and joined, + ")".  A tree's key is its centre codes, sorted; a
     unicyclic graph's key is its cycle of codes read from the
     lexicographically least rotation or reflection.  Two graphs of the domain
     have equal keys iff they are isomorphic.
     """
-    deg = [m.bit_count() for m in masks]
-    tree = sum(deg) == 2 * n - 2
+    alive, peeled = peel_leaves(masks)
     kids: list[list[str]] = [[] for _ in range(n)]
-    alive = (1 << n) - 1
-    layer = [v for v in range(n) if deg[v] == 1]
-    while layer and not (tree and alive.bit_count() <= 2):
-        for v in layer:
-            alive ^= 1 << v
-        nxt = []
-        for v in layer:
-            p = (masks[v] & alive).bit_length() - 1
-            kids[p].append("(" + "".join(sorted(kids[v])) + ")")
-            deg[p] -= 1
-            if deg[p] == 1:
-                nxt.append(p)
-        layer = nxt
+    for v, p in peeled:
+        kids[p].append("(" + "".join(sorted(kids[v])) + ")")
     code = {v: "(" + "".join(sorted(kids[v])) + ")" for v in range(n) if alive >> v & 1}
-    if tree:
+    if len(code) <= 2:  # a tree centre; a cycle keeps at least three vertices
         return tuple(sorted(code.values()))
     ring = []
     x = prev = min(code)

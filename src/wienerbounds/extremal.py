@@ -38,9 +38,6 @@ from .graphs import (
 from .indices import IndexValue, generalized_wiener
 from .weights import Monotonicity, WeightFunction, classify_monotonicity
 
-# extremal-graph lists stop growing past this many entries per side
-ARGSET_CAP = 100_000
-
 
 class NonMonotoneWeightError(ValueError):
     """The operation needs a strictly monotone weight function."""
@@ -59,34 +56,34 @@ class Extreme:
     """One side of a scan: the extreme value so far and the graphs attaining it.
 
     ``better(a, b)`` is true when value a beats value b: operator.lt on the
-    min side, operator.gt on the max side.
+    min side, operator.gt on the max side.  No field depends on the sharding.
     """
 
     better: Callable[[object, object], bool]
     value: object = None
-    masks: list = field(default_factory=list)  # the first ARGSET_CAP attaining graphs
+    classes: dict = field(default_factory=dict)  # class_key -> smallest attaining member
     count: int = 0  # every attaining graph
-    # lexicographically smallest attaining graph; invariant under sharding
-    example: tuple | None = None
+    example: tuple | None = None  # lexicographically smallest attaining graph
 
-    def offer(self, value, masks: list, count: int, example: tuple) -> None:
-        """Fold in ``count`` graphs of one value: ``masks`` lists the first of
-        them and ``example`` is the smallest."""
+    def offer(self, value, classes: dict, count: int, example: tuple) -> None:
+        """Fold in ``count`` graphs of one value: ``classes`` maps the class
+        key of each of them to its smallest member, ``example`` is the smallest."""
         current = self.value
         if current is None or self.better(value, current):
             self.value = value
-            self.masks = masks[:ARGSET_CAP]
+            self.classes = dict(classes)
             self.count = count
             self.example = example
         elif value == current:
-            self.masks += masks[: ARGSET_CAP - len(self.masks)]
+            for key, masks in classes.items():
+                self.classes[key] = min(masks, self.classes.get(key, masks))
             self.count += count
             self.example = min(self.example, example)
 
     def merged(self, other: "Extreme") -> "Extreme":
-        out = Extreme(self.better, self.value, list(self.masks), self.count, self.example)
+        out = Extreme(self.better, self.value, dict(self.classes), self.count, self.example)
         if other.count:
-            out.offer(other.value, other.masks, other.count, other.example)
+            out.offer(other.value, other.classes, other.count, other.example)
         return out
 
 
@@ -102,8 +99,9 @@ class WeightScan:
     # the flat names that scan callers read
     min_value = property(lambda self: self.lo.value)
     max_value = property(lambda self: self.hi.value)
-    argmin_masks = property(lambda self: self.lo.masks)
-    argmax_masks = property(lambda self: self.hi.masks)
+    # one attaining graph per class: the smallest of its class
+    argmin_masks = property(lambda self: list(self.lo.classes.values()))
+    argmax_masks = property(lambda self: list(self.hi.classes.values()))
     argmin_count = property(lambda self: self.lo.count)
     argmax_count = property(lambda self: self.hi.count)
 
@@ -153,7 +151,8 @@ def scan_extremes(
     cap: int = DEFAULT_LABELED_CAP,
 ) -> ScanSummary:
     """Scan every labeled unicyclic graph on n vertices, tracking min/max of
-    each weighted index and the attaining labeled graphs."""
+    each weighted index and the classes of the attaining labeled graphs (a
+    graph is keyed only when its value ties or beats a running extreme)."""
     tables = _weight_tables(n, weights)
     nw = len(weights)
     scans = [WeightScan(h.description, h.exact) for h in weights]
@@ -165,7 +164,6 @@ def scan_extremes(
     for masks, cyclen in iter_unicyclic_edge_masks(n, shard, cap):
         graphs += 1
         cyclen_sum += cyclen
-        graph = [masks]  # offer() copies what it keeps, so the sides share this
         for d in range(dmax):
             counts[d] = 0
         for s in range(n):
@@ -192,8 +190,9 @@ def scan_extremes(
                 if c:
                     val += (c >> 1) * tab[d]
             sc = scans[w]
-            sc.lo.offer(val, graph, 1, masks)
-            sc.hi.offer(val, graph, 1, masks)
+            for side in (sc.lo, sc.hi):
+                if side.value is None or not side.better(side.value, val):
+                    side.offer(val, {class_key(n, masks): masks}, 1, masks)
     return ScanSummary(n, graphs, cyclen_sum, scans)
 
 
@@ -269,22 +268,16 @@ def _values_match(a, b, rel_tol: float) -> bool:
     return a == b
 
 
-def _distinct_forms(n: int, masks_list) -> tuple[bytes, ...]:
-    members = {class_key(n, masks): masks for masks in masks_list}  # one graph per class
-    return tuple(sorted(canonical_form(graph_from_masks(n, m)) for m in members.values()))
-
-
 def _attained_by_class_only(n: int, side: Extreme, expected: Graph, aut: int) -> bool:
     """Whether the graphs attaining ``side`` are exactly the labeled copies of
     ``expected``, whose automorphism group has order ``aut``.
 
-    All n!/aut copies share one value, so the attaining set is that class
-    iff it has n!/aut members and one of them lies in the class.  Unlike the
-    stored masks, the count is never truncated.
+    The class keys say that ``expected`` is the only attaining class; the
+    orbit count n!/aut, kept apart from the keys, checks it by a second route.
     """
-    return side.count == math.factorial(n) // aut and class_key(
-        n, side.example
-    ) == class_key(n, expected.adjacency_masks())
+    return side.count == math.factorial(n) // aut and list(side.classes) == [
+        class_key(n, expected.adjacency_masks())
+    ]
 
 
 def _masks_to_edges(n: int, masks) -> tuple[tuple[int, int], ...]:
@@ -318,8 +311,10 @@ def verify_theorem_many(
         mode = "exact" if h.exact else "float"
         min_iv = IndexValue(sc.min_value, mode, f"min[{h.description}]")
         max_iv = IndexValue(sc.max_value, mode, f"max[{h.description}]")
-        argmin_forms = _distinct_forms(n, sc.argmin_masks)
-        argmax_forms = _distinct_forms(n, sc.argmax_masks)
+        argmin_forms, argmax_forms = (  # one canonical form per attaining class
+            tuple(sorted(canonical_form(graph_from_masks(n, m)) for m in side.classes.values()))
+            for side in (sc.lo, sc.hi)
+        )
         applicable = n >= 6
         kwargs: dict = {}
         if applicable:

@@ -12,6 +12,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+# Vertex counts from outside input stop here, before any per-vertex
+# allocation: a header "n 1000000000" or one huge label must not reserve 10^9
+# adjacency sets, and every distance query is quadratic in n anyway.
+MAX_VERTICES = 100_000
+
 
 class GraphError(ValueError):
     """Invalid graph input or a graph that violates an operation's contract."""
@@ -43,9 +48,9 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from an edge iterable, rejecting loops and duplicates."""
-        if n < 1:
-            raise GraphError(f"vertex count must be >= 1, got {n}")
+        """Build a graph from edges, rejecting loops, duplicates and n outside 1..MAX_VERTICES."""
+        if not 1 <= n <= MAX_VERTICES:
+            raise GraphError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
         neighbours: list[set[int]] = [set() for _ in range(n)]
         m = 0
         for u, v in edges:
@@ -269,35 +274,48 @@ def is_unicyclic(g: Graph) -> bool:
     return g.edge_count == g.n and is_connected(g)
 
 
-def find_cycle(g: Graph) -> CycleInfo:
-    """The unique cycle of a unicyclic graph, by iterative leaf stripping.
+def peel_leaves(masks: Sequence[int]) -> tuple[int, list[tuple[int, int]]]:
+    """Strip leaves layer by layer from a connected graph with at most one
+    cycle (adjacency bitmasks) until none is left (a cycle remains) or at most
+    two vertices are (a tree centre).  Returns the survivors' bitmask and each
+    peeled vertex's (vertex, parent) pair in peel order, children first."""
+    n = len(masks)
+    deg = [m.bit_count() for m in masks]
+    tree = sum(deg) == 2 * n - 2
+    alive = (1 << n) - 1
+    peeled = []
+    layer = [v for v in range(n) if deg[v] == 1]
+    while layer and not (tree and alive.bit_count() <= 2):
+        for v in layer:
+            alive ^= 1 << v
+        nxt = []
+        for v in layer:
+            p = (masks[v] & alive).bit_length() - 1
+            peeled.append((v, p))
+            deg[p] -= 1
+            if deg[p] == 1:
+                nxt.append(p)
+        layer = nxt
+    return alive, peeled
 
-    The surviving vertices are returned in cyclic order starting from the
-    smallest label, stepping first toward its smaller surviving neighbour.
+
+def find_cycle(g: Graph) -> CycleInfo:
+    """The unique cycle of a unicyclic graph: the survivors of peel_leaves.
+
+    They are returned in cyclic order starting from the smallest label,
+    stepping first toward its smaller surviving neighbour.
     """
     if not is_unicyclic(g):
         raise NotUnicyclicError(
             f"graph with n={g.n}, m={g.edge_count} is not connected-unicyclic"
         )
-    deg = [len(a) for a in g.adj]
-    queue = deque(v for v in range(g.n) if deg[v] == 1)
-    alive = [True] * g.n
-    while queue:
-        x = queue.popleft()
-        alive[x] = False
-        for y in g.adj[x]:
-            if alive[y]:
-                deg[y] -= 1
-                if deg[y] == 1:
-                    queue.append(y)
-    survivors = [v for v in range(g.n) if alive[v]]
-    start = survivors[0]
-    nbrs = [y for y in g.adj[start] if alive[y]]
-    order = [start, min(nbrs)]
-    while len(order) < len(survivors):
-        prev, cur = order[-2], order[-1]
-        nxt = [y for y in g.adj[cur] if alive[y] and y != prev]
-        order.append(nxt[0])
+    masks = g.adjacency_masks()
+    alive = peel_leaves(masks)[0]
+    start = (alive & -alive).bit_length() - 1
+    nbrs = masks[start] & alive
+    order = [start, (nbrs & -nbrs).bit_length() - 1]
+    for _ in range(alive.bit_count() - 2):  # each step leaves the previous vertex
+        order.append((masks[order[-1]] & alive & ~(1 << order[-2])).bit_length() - 1)
     return CycleInfo(tuple(order))
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from wienerbounds.cli import main
 from wienerbounds.families import tadpole, triangle_star
-from wienerbounds.graphs import format_edge_list, parse_edge_list
+from wienerbounds.graphs import MAX_VERTICES, format_edge_list, parse_edge_list
 
 
 @pytest.fixture
@@ -62,6 +62,14 @@ class TestCompute:
         lines = out.strip().splitlines()
         assert lines[0] == "index_name,value,mode"
         assert lines[1] == "power:1,31,exact"
+
+    @pytest.mark.parametrize("text", [f"n {MAX_VERTICES + 1}\n0 1\n", f"0 {MAX_VERTICES}\n"])
+    def test_vertex_count_above_the_bound_is_usage_error(self, capsys, tmp_path, text):
+        p = tmp_path / "big.txt"
+        p.write_text(text)
+        code, out, err = run(capsys, "compute", "--graph", str(p), "--weight", "power:1")
+        assert code == 2 and out == ""
+        assert str(MAX_VERTICES) in err
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(
@@ -283,6 +291,17 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["graphs_scanned"] == 0
         assert payload["min_value"] is None and payload["max_value"] is None
+
+    @pytest.mark.parametrize("fmt, sep", [("csv", ","), ("plain", "\t")])
+    def test_empty_shard_null_is_an_empty_field(self, capsys, fmt, sep):
+        argv = ["verify", "--n", "4", "--weight", "power:1", "--shard", "50/100"]
+        _, csv_out, _ = run(capsys, "--format", "csv", *argv)
+        code, out, _ = run(capsys, "--format", fmt, *argv)
+        assert code == 0
+        fields = dict(zip(csv_out.splitlines()[0].split(","), out.splitlines()[-1].split(sep)))
+        assert fields["graphs_scanned"] == "0" and fields["partial"] == "True"
+        assert fields["min_value"] == "" and fields["max_value"] == ""
+        assert "None" not in out
 
 
 class TestLemmas:

@@ -5,7 +5,12 @@ import pytest
 
 from wienerbounds import extremal
 from wienerbounds.closed_forms import tadpole_closed_form
-from wienerbounds.enumeration import canonical_form, random_unicyclic
+from wienerbounds.enumeration import (
+    canonical_form,
+    class_key,
+    enumerate_unicyclic_unlabeled,
+    random_unicyclic,
+)
 from wienerbounds.extremal import (
     NonMonotoneWeightError,
     ProofMoveError,
@@ -104,22 +109,24 @@ class TestVerifyTheorem:
 
     def test_scan_extremes_against_per_pair_oracle(self):
         # recompute every n=5 value with networkx per-pair BFS and compare
-        # the scanner's extremes and attaining edge sets
+        # the scanner's extremes and every field of both sides
         import oracles
         from wienerbounds.enumeration import enumerate_unicyclic_labeled
 
         values = {}
         for g in enumerate_unicyclic_labeled(5):
-            values[frozenset(g.edges())] = sum(oracles.pair_distances(g).values())
+            values[tuple(g.adjacency_masks())] = sum(oracles.pair_distances(g).values())
         lo, hi = min(values.values()), max(values.values())
         sc = scan_extremes(5, [PowerWeight(1)]).per_weight[0]
         assert (sc.min_value, sc.max_value) == (lo, hi)
-        from wienerbounds.enumeration import graph_from_masks
-
-        argmin = {frozenset(graph_from_masks(5, m).edges()) for m in sc.argmin_masks}
-        argmax = {frozenset(graph_from_masks(5, m).edges()) for m in sc.argmax_masks}
-        assert argmin == {e for e, v in values.items() if v == lo}
-        assert argmax == {e for e, v in values.items() if v == hi}
+        for side, extreme in ((sc.lo, lo), (sc.hi, hi)):
+            attaining = sorted(m for m, v in values.items() if v == extreme)
+            smallest = {}
+            for masks in attaining:
+                smallest.setdefault(class_key(5, masks), masks)
+            assert side.count == len(attaining)
+            assert side.example == attaining[0]
+            assert side.classes == smallest
 
     def test_shard_merge_matches_full(self):
         h = PowerWeight(1)
@@ -141,13 +148,15 @@ class TestVerifyTheorem:
         assert sc.argmin_count == math.factorial(n) // (2 * math.factorial(n - 3)) == argmin
         assert sc.argmax_count == math.factorial(n) // 2 == argmax
 
-    def test_uniqueness_survives_a_truncated_argset(self, monkeypatch):
-        monkeypatch.setattr(extremal, "ARGSET_CAP", 100)
-        report = verify_theorem(6, PowerWeight(1))
-        assert report.argmax_count == 360  # only the first 100 masks are kept
-        assert report.argmax_forms == (canonical_form(tadpole(3, 6)),)
-        assert report.max_unique_ok is True
-        assert report.claims_ok() is True
+    def test_all_ties_report_every_class(self):
+        # h(1) = 1, h(k > 1) = 0 scores every graph n, so both sides hold all of them
+        sc = scan_extremes(6, [TableWeight((1.0, 0.0, 0.0, 0.0))]).per_weight[0]
+        keys = {class_key(6, g.adjacency_masks()) for g in enumerate_unicyclic_unlabeled(6)}
+        for side in (sc.lo, sc.hi):
+            assert side.value == 6
+            assert side.count == 3660
+            assert len(side.classes) == 13
+            assert set(side.classes) == keys
 
     def test_uniqueness_needs_the_full_orbit_of_the_expected_class(self):
         sc = scan_extremes(6, [PowerWeight(1)]).per_weight[0]

@@ -3,8 +3,10 @@ import random
 import pytest
 
 from wienerbounds.enumeration import prufer_to_tree, random_unicyclic
+from wienerbounds import graphs
 from wienerbounds.families import cycle, path, star, tadpole, triangle_star
 from wienerbounds.graphs import (
+    MAX_VERTICES,
     DisconnectedGraphError,
     EdgeListParseError,
     Graph,
@@ -20,6 +22,7 @@ from wienerbounds.graphs import (
     is_unicyclic,
     major_vertex_report,
     parse_edge_list,
+    peel_leaves,
     relabel,
     tail_decomposition,
 )
@@ -139,6 +142,20 @@ class TestUnicyclic:
         assert is_unicyclic(triangle_star(6))
         assert not is_unicyclic(parse_edge_list("n 4\n0 1\n1 2\n2 0"))  # isolated vertex
 
+    def test_vertex_count_bound(self, monkeypatch):
+        # one past the bound is refused by every route that sets the count
+        for build in (
+            lambda: Graph.from_edges(MAX_VERTICES + 1, []),
+            lambda: parse_edge_list(f"n {MAX_VERTICES + 1}\n0 1"),
+            lambda: parse_edge_list(f"0 {MAX_VERTICES}"),
+        ):
+            with pytest.raises(GraphError, match=str(MAX_VERTICES)):
+                build()
+        monkeypatch.setattr(graphs, "MAX_VERTICES", 5)
+        assert parse_edge_list("0 4").n == 5
+        with pytest.raises(GraphError):
+            parse_edge_list("0 5")
+
     def test_find_cycle_families(self):
         for n in range(3, 13):
             for r in range(3, n + 1):
@@ -162,6 +179,37 @@ class TestUnicyclic:
     def test_rejects_non_unicyclic(self):
         with pytest.raises(NotUnicyclicError):
             find_cycle(path(5))
+
+    def test_cycle_starts_at_its_smallest_label_toward_the_smaller_neighbour(self):
+        g = Graph.from_edges(7, [(1, 5), (1, 6), (3, 6), (3, 5), (0, 3), (0, 2), (4, 6)])
+        assert find_cycle(g).vertices == (1, 5, 3, 6)
+
+    def test_cycle_matches_networkx_on_random_unicyclic(self):
+        import networkx as nx
+
+        rng = random.Random(7)
+        for _ in range(50):
+            g = random_unicyclic(rng.randrange(3, 14), rng)
+            verts = find_cycle(g).vertices
+            oracle = {v for e in nx.find_cycle(nx.Graph(list(g.edges()))) for v in e[:2]}
+            assert set(verts) == oracle and len(verts) == len(oracle)
+            assert verts[0] == min(oracle)
+            assert verts[1] == min(v for v in g.adj[verts[0]] if v in oracle)
+            for i, v in enumerate(verts):
+                assert verts[i - 1] in g.adj[v]
+
+
+class TestPeelLeaves:
+    def test_unicyclic_peels_down_to_its_cycle(self):
+        alive, peeled = peel_leaves(tadpole(3, 6).adjacency_masks())
+        assert alive == 0b111
+        assert peeled == [(5, 4), (4, 3), (3, 0)]
+
+    def test_tree_peels_down_to_its_centre(self):
+        assert peel_leaves(path(5).adjacency_masks()) == (0b00100, [(0, 1), (4, 3), (1, 2), (3, 2)])
+        assert peel_leaves(path(4).adjacency_masks())[0] == 0b0110
+        assert peel_leaves(star(5).adjacency_masks())[0] == 0b00001
+        assert peel_leaves(path(1).adjacency_masks()) == (0b1, [])
 
 
 class TestMajorVertices:

@@ -22,7 +22,7 @@ def merge_shards(scan, n, k, order):
 
 
 def side(extreme):
-    return extreme.value, extreme.count, extreme.example, sorted(extreme.masks)
+    return extreme.value, extreme.count, extreme.example, extreme.classes
 
 
 @settings(max_examples=30, deadline=None)
