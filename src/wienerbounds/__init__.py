@@ -4,7 +4,6 @@ families, and exhaustive verification of the sharp bounds at small n."""
 from .closed_forms import (
     cycle_closed_form,
     path_closed_form,
-    tadpole3_reduced,
     tadpole_closed_form,
     triangle_star_closed_form,
 )
@@ -46,7 +45,6 @@ from .graphs import (
     major_vertex_report,
     parse_edge_list,
     relabel,
-    tail_decomposition,
 )
 from .indices import (
     IndexValue,

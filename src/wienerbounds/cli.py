@@ -11,6 +11,7 @@ consumers never round them through floats.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -44,15 +45,16 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _emit_rows(rows: list[dict], fmt: str) -> None:
+def _emit_rows(rows: list[dict], fmt: str, header: Sequence[str] = ()) -> None:
+    """A JSON list, or one line per row; csv first names the fields, taken from
+    the first row or, when there is none, from ``header``."""
     if fmt == "json":
         _emit_json(rows)
         return
-    sep = "," if fmt == "csv" else "\t"
+    out = csv.writer(sys.stdout, delimiter="," if fmt == "csv" else "\t", lineterminator="\n")
     if fmt == "csv":
-        print(sep.join(rows[0] if rows else ()))
-    for row in rows:  # null is an empty field
-        print(sep.join("" if v is None else str(v) for v in row.values()))
+        out.writerow(rows[0] if rows else header)
+    out.writerows(row.values() for row in rows)  # null is an empty field
 
 
 def _emit_record(payload: dict, fmt: str) -> None:
@@ -152,21 +154,21 @@ def _cmd_enumerate(args) -> int:
         raise ValueError("--unlabeled takes no --shard: class counts do not add up across shards")
     if args.count_only:
         if args.unlabeled:
-            count = sum(1 for _ in enumeration.enumerate_unicyclic_unlabeled(args.n, cap=args.cap))
+            count = sum(1 for _ in enumeration.enumerate_unicyclic_unlabeled(args.n))
             payload = {"n": args.n, "unlabeled_count": count}
         else:
             count = 0
             cyclen = 0
-            for _masks, r in enumeration.iter_unicyclic_edge_masks(args.n, shard, cap=args.cap):
+            for _masks, r in enumeration.iter_unicyclic_edge_masks(args.n, shard):
                 count += 1
                 cyclen += r
             payload = {"n": args.n, "labeled_count": count, "cycle_length_sum": cyclen}
         _emit_record(payload, args.format)
         return 0
     stream = (
-        enumeration.enumerate_unicyclic_unlabeled(args.n, cap=args.cap)
+        enumeration.enumerate_unicyclic_unlabeled(args.n)
         if args.unlabeled
-        else enumeration.enumerate_unicyclic_labeled(args.n, shard, cap=args.cap)
+        else enumeration.enumerate_unicyclic_labeled(args.n, shard)
     )
     for g in stream:
         edges = list(g.edges())
@@ -212,8 +214,12 @@ def _report_payload(report: extremal.VerificationReport) -> dict:
 
 def _cmd_verify(args) -> int:
     cpus = os.cpu_count() or 1
+    if args.jobs < 1:
+        raise ValueError(f"--jobs {args.jobs}: need at least one worker")
     if args.jobs > cpus:
         raise ValueError(f"--jobs {args.jobs} exceeds the {cpus} CPUs of this machine")
+    if not args.tol >= 0:  # also refuses nan
+        raise ValueError(f"--tol {args.tol}: a tolerance cannot be negative")
     h = parse_weight_spec(args.weight)
     if isinstance(h, QWienerWeight) and h.variant == 2 and h.diameter is None:
         raise WeightError(
@@ -221,7 +227,7 @@ def _cmd_verify(args) -> int:
         )
     if args.shard:
         shard = _parse_shard(args.shard)
-        summary = extremal.scan_extremes(args.n, [h], shard=shard, cap=args.cap)
+        summary = extremal.scan_extremes(args.n, [h], shard=shard)
         sc = summary.per_weight[0]
         mode = "exact" if h.exact else "float"
         payload = {
@@ -239,9 +245,7 @@ def _cmd_verify(args) -> int:
             payload[key] = None if value is None else IndexValue(value, mode, key).to_json_value()
         _emit_record(payload, args.format)
         return 0
-    report = extremal.verify_theorem(
-        args.n, h, jobs=args.jobs, rel_tol=args.tol, cap=args.cap
-    )
+    report = extremal.verify_theorem(args.n, h, jobs=args.jobs, rel_tol=args.tol)
     payload = _report_payload(report)
     if args.format != "json":
         for key in ("argmin_example", "argmax_example"):
@@ -263,13 +267,9 @@ def _cmd_lemmas(args) -> int:
     }
     if args.format == "json":
         _emit_json(payload)
-    elif args.format == "csv":
-        print("r,n,ok")
-        for r, n, ok in results:
-            print(f"{r},{n},{ok}")
     else:
-        for r, n, ok in results:
-            print(f"{r}\t{n}\t{ok}")
+        rows = [{"r": r, "n": n, "ok": ok} for r, n, ok in results]
+        _emit_rows(rows, args.format, header=("r", "n", "ok"))
     return CLAIM_VIOLATION if violations else 0
 
 
@@ -342,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unlabeled", action="store_true", help="one graph per isomorphism class")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--shard", help="process only Prufer ranks == i mod k, as i/k")
-    p.add_argument("--cap", type=int, default=enumeration.DEFAULT_LABELED_CAP)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="exhaustively verify the extremal bounds for one n")
@@ -351,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shard", help="emit a mergeable partial scan for shard i/k")
     p.add_argument("--jobs", type=int, default=1, help="worker processes for the scan")
     p.add_argument("--tol", type=float, default=1e-9, help="relative tolerance for float weights")
-    p.add_argument("--cap", type=int, default=enumeration.DEFAULT_LABELED_CAP)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("lemmas", help="sweep the closed-form dominance comparisons")
@@ -373,15 +371,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return USAGE_ERROR if exc.code not in (0,) else 0
-    if getattr(args, "cap", None) is not None and args.cap > enumeration.HARD_CAP:
-        print(
-            f"error: --cap {args.cap} exceeds the hard ceiling {enumeration.HARD_CAP}",
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
     try:
         return args.func(args)
-    except (GraphError, WeightError, enumeration.EnumerationCapError, ValueError) as exc:
+    except ValueError as exc:  # GraphError, WeightError and EnumerationCapError among them
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -89,10 +89,3 @@ def tadpole_closed_form(r: int, n: int, h: WeightFunction) -> IndexValue:
         total += _sum(1, t, lambda k: h(half + k))
     return _evaluate(total, h, f"tadpole-closed-form(r={r},n={n})")
 
-
-def tadpole3_reduced(n: int, h: WeightFunction) -> IndexValue:
-    """Reduced form of tadpole_closed_form(3, n, h): n h(1) + sum_{j=2}^{n-2} (n-j) h(j)."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    total = n * h(1) + _sum(2, n - 2, lambda j: (n - j) * h(j))
-    return _evaluate(total, h, f"tadpole3-reduced(n={n})")

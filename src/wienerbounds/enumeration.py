@@ -20,18 +20,23 @@ from typing import Iterator, Sequence
 
 from .graphs import Graph, GraphError, is_connected, peel_leaves
 
-DEFAULT_LABELED_CAP = 9
-DEFAULT_UNLABELED_CAP = 8
-HARD_CAP = 10
+# The exhaustive scans stop here: n = 9 is 33,779,340 labeled unicyclic
+# graphs (OEIS A057500) and n = 10 is 880,107,840, hours on two workers.
+MAX_SCAN_N = 9
 
 
 class EnumerationCapError(ValueError):
-    """Requested n exceeds the enumeration cap."""
+    """Requested n is above MAX_SCAN_N, the limit of the exhaustive scans."""
 
-    def __init__(self, n: int, cap: int):
-        super().__init__(f"n={n} exceeds the enumeration cap {cap}")
-        self.n = n
-        self.cap = cap
+
+def check_scan_n(n: int) -> None:
+    """Refuse an n that no exhaustive scan takes: below 3 (no unicyclic graph)
+    or above MAX_SCAN_N.  Every scan entry point calls this first, before it
+    builds a table or starts a worker."""
+    if n < 3:
+        raise ValueError(f"unicyclic graphs need n >= 3, got {n}")
+    if n > MAX_SCAN_N:
+        raise EnumerationCapError(f"n={n} exceeds the enumeration cap {MAX_SCAN_N}")
 
 
 def _decode_prufer(seq: Sequence[int], n: int) -> tuple[list[int], list[int]]:
@@ -92,23 +97,25 @@ def _prufer_sequences(n: int, shard: tuple[int, int] | None) -> Iterator[tuple[i
 
 
 def iter_unicyclic_edge_masks(
-    n: int,
-    shard: tuple[int, int] | None = None,
-    cap: int = DEFAULT_LABELED_CAP,
+    n: int, shard: tuple[int, int] | None = None
 ) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield (adjacency bitmasks, cycle length) for every labeled unicyclic graph.
+    """Stream (adjacency bitmasks, cycle length) for every labeled unicyclic graph.
 
     This is the raw engine behind enumerate_unicyclic_labeled; the bitmask
-    form keeps exhaustive scans cheap.
+    form keeps exhaustive scans cheap.  A bad n or shard raises here, on the
+    call, not on the first next().
     """
-    if n < 3:
-        raise ValueError(f"unicyclic graphs need n >= 3, got {n}")
-    cap = min(cap, HARD_CAP)
-    if n > cap:
-        raise EnumerationCapError(n, cap)
+    check_scan_n(n)
+    return _chord_closures(n, _prufer_sequences(n, shard))
+
+
+def _chord_closures(
+    n: int, seqs: Iterator[tuple[int, ...]]
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each tree of ``seqs`` plus each chord that is the smallest edge of its cycle."""
     rng = range(n)
     pair_rng = [(u, v) for u in rng for v in range(u + 1, n)]
-    for seq in _prufer_sequences(n, shard):
+    for seq in seqs:
         amask = _decode_prufer(seq, n)[0]
         # parent/depth arrays rooted at 0, for tree-path walks
         parent = [0] * n
@@ -191,13 +198,10 @@ def graph_from_masks(n: int, masks: Sequence[int]) -> Graph:
 
 
 def enumerate_unicyclic_labeled(
-    n: int,
-    shard: tuple[int, int] | None = None,
-    cap: int = DEFAULT_LABELED_CAP,
+    n: int, shard: tuple[int, int] | None = None
 ) -> Iterator[Graph]:
     """Every labeled connected unicyclic graph on n vertices, exactly once."""
-    for masks, _cyclen in iter_unicyclic_edge_masks(n, shard, cap):
-        yield graph_from_masks(n, masks)
+    return (graph_from_masks(n, masks) for masks, _cyclen in iter_unicyclic_edge_masks(n, shard))
 
 
 def random_unicyclic(n: int, rng: Random) -> Graph:
@@ -296,17 +300,20 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
     return canonical_form(g1) == canonical_form(g2)
 
 
-def enumerate_unicyclic_unlabeled(
-    n: int, cap: int = DEFAULT_UNLABELED_CAP
-) -> Iterator[Graph]:
+def enumerate_unicyclic_unlabeled(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class: the first labeled graph of
     each class in stream order."""
-    seen: set[tuple[str, ...]] = set()
-    for masks, _cyclen in iter_unicyclic_edge_masks(n, cap=cap):
-        key = class_key(n, masks)
-        if key not in seen:
-            seen.add(key)
-            yield graph_from_masks(n, masks)
+    stream = iter_unicyclic_edge_masks(n)  # refuses a bad n on the call
+
+    def firsts() -> Iterator[Graph]:
+        seen: set[tuple[str, ...]] = set()
+        for masks, _cyclen in stream:
+            key = class_key(n, masks)
+            if key not in seen:
+                seen.add(key)
+                yield graph_from_masks(n, masks)
+
+    return firsts()
 
 
 # ---------------------------------------------------------------------------

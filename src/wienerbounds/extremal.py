@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 
 from .closed_forms import tadpole_closed_form, triangle_star_closed_form
 from .enumeration import (
-    DEFAULT_LABELED_CAP,
     canonical_form,
+    check_scan_n,
     class_key,
     graph_from_masks,
     iter_unicyclic_edge_masks,
@@ -148,11 +148,11 @@ def scan_extremes(
     n: int,
     weights: Sequence[WeightFunction],
     shard: tuple[int, int] | None = None,
-    cap: int = DEFAULT_LABELED_CAP,
 ) -> ScanSummary:
     """Scan every labeled unicyclic graph on n vertices, tracking min/max of
     each weighted index and the classes of the attaining labeled graphs (a
     graph is keyed only when its value ties or beats a running extreme)."""
+    check_scan_n(n)
     tables = _weight_tables(n, weights)
     nw = len(weights)
     scans = [WeightScan(h.description, h.exact) for h in weights]
@@ -161,7 +161,7 @@ def scan_extremes(
     counts = [0] * n
     dmax = n - 1
     popcount = [bin(i).count("1") for i in range(1 << n)]
-    for masks, cyclen in iter_unicyclic_edge_masks(n, shard, cap):
+    for masks, cyclen in iter_unicyclic_edge_masks(n, shard):
         graphs += 1
         cyclen_sum += cyclen
         for d in range(dmax):
@@ -197,24 +197,20 @@ def scan_extremes(
 
 
 def _scan_shard_worker(args) -> ScanSummary:
-    n, weights, i, k, cap = args
-    return scan_extremes(n, weights, shard=(i, k), cap=cap)
+    n, weights, i, k = args
+    return scan_extremes(n, weights, shard=(i, k))
 
 
 def scan_extremes_parallel(
-    n: int,
-    weights: Sequence[WeightFunction],
-    jobs: int,
-    cap: int = DEFAULT_LABELED_CAP,
+    n: int, weights: Sequence[WeightFunction], jobs: int
 ) -> ScanSummary:
     """Shard the scan across worker processes and merge the partial results."""
+    check_scan_n(n)
     if jobs <= 1:
-        return scan_extremes(n, weights, cap=cap)
+        return scan_extremes(n, weights)
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(jobs) as pool:
-        parts = pool.map(
-            _scan_shard_worker, [(n, list(weights), i, jobs, cap) for i in range(jobs)]
-        )
+        parts = pool.map(_scan_shard_worker, [(n, list(weights), i, jobs) for i in range(jobs)])
     summary = parts[0]
     for part in parts[1:]:
         summary = summary.merged(part)
@@ -291,11 +287,9 @@ def verify_theorem_many(
     weights: Sequence[WeightFunction],
     jobs: int = 1,
     rel_tol: float = 1e-9,
-    cap: int = DEFAULT_LABELED_CAP,
 ) -> list[VerificationReport]:
     """Verify the extremal bounds for several weights over a single scan."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    check_scan_n(n)
     classes = []
     for h in weights:
         mono = classify_monotonicity(h, max(2, n - 2))
@@ -305,7 +299,7 @@ def verify_theorem_many(
                 "the extremal characterization does not apply"
             )
         classes.append(mono)
-    summary = scan_extremes_parallel(n, weights, jobs, cap=cap)
+    summary = scan_extremes_parallel(n, weights, jobs)
     reports = []
     for h, mono, sc in zip(weights, classes, summary.per_weight):
         mode = "exact" if h.exact else "float"
@@ -361,10 +355,9 @@ def verify_theorem(
     h: WeightFunction,
     jobs: int = 1,
     rel_tol: float = 1e-9,
-    cap: int = DEFAULT_LABELED_CAP,
 ) -> VerificationReport:
     """Exhaustively verify the two-sided bound and its uniqueness for one weight."""
-    return verify_theorem_many(n, [h], jobs=jobs, rel_tol=rel_tol, cap=cap)[0]
+    return verify_theorem_many(n, [h], jobs=jobs, rel_tol=rel_tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 Labelings are fixed so that serialized fixtures stay byte-stable:
 paths run 0-1-...-(n-1), cycles close with the edge (n-1, 0), stars are
-centered at 0, and composite families attach at vertex 0.
+centered at 0, and composite families attach at vertex 0.  Edges are passed
+as generators, so Graph.from_edges refuses an oversized n before any is built.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .graphs import Graph
 
@@ -21,9 +24,7 @@ def cycle(n: int) -> Graph:
     """Cycle on n >= 3 vertices, 0-1-...-(n-1)-0."""
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
-    edges = [(i, i + 1) for i in range(n - 1)]
-    edges.append((n - 1, 0))
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def star(n: int) -> Graph:
@@ -40,9 +41,7 @@ def triangle_star(n: int) -> Graph:
     """
     if n < 4:
         raise ValueError(f"triangle-star needs n >= 4, got {n}")
-    edges = [(0, 1), (0, 2), (1, 2)]
-    edges.extend((0, i) for i in range(3, n))
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, chain([(0, 1), (0, 2), (1, 2)], ((0, i) for i in range(3, n))))
 
 
 def tadpole(r: int, n: int) -> Graph:
@@ -52,9 +51,6 @@ def tadpole(r: int, n: int) -> Graph:
     """
     if not (3 <= r <= n):
         raise ValueError(f"tadpole needs 3 <= r <= n, got r={r}, n={n}")
-    edges = [(i, i + 1) for i in range(r - 1)]
-    edges.append((r - 1, 0))
-    if r < n:
-        edges.append((0, r))
-        edges.extend((i, i + 1) for i in range(r, n - 1))
-    return Graph.from_edges(n, edges)
+    ring = ((i, (i + 1) % r) for i in range(r))
+    tail = ((i - 1 if i > r else 0, i) for i in range(r, n))
+    return Graph.from_edges(n, chain(ring, tail))

@@ -234,25 +234,6 @@ def is_connected(g: Graph) -> bool:
     return seen == (1 << g.n) - 1
 
 
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    """Vertex sets of the connected components, ordered by smallest member."""
-    unseen = set(range(g.n))
-    out = []
-    while unseen:
-        root = min(unseen)
-        comp = {root}
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in g.adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        out.append(frozenset(comp))
-        unseen -= comp
-    return out
-
-
 def distance_distribution(g: Graph) -> DistanceDistribution:
     """Distance distribution via one BFS per vertex; requires connectivity."""
     counts: dict[int, int] = {}
@@ -338,32 +319,6 @@ def major_vertex_report(g: Graph) -> MajorVertexReport:
         {v: tuple(ts) for v, ts in terminals.items()},
         multi,
     )
-
-
-def tail_decomposition(g: Graph, v: int) -> tuple[frozenset[int], frozenset[int]]:
-    """Split a unicyclic graph at ``v`` into cycle side and tail side.
-
-    Returns ``(cycle_side, tail_side)``: ``cycle_side`` is the component of
-    the graph minus ``v`` that meets the cycle, and ``tail_side`` is its
-    complement, a tree containing ``v`` (possibly just ``{v}``).
-    """
-    cycle = set(find_cycle(g).vertices)
-    if not (0 <= v < g.n):
-        raise GraphError(f"vertex {v} out of range for n={g.n}")
-    cycle_rest = cycle - {v}
-    # flood from the remaining cycle vertices without crossing v
-    root = min(cycle_rest)
-    comp = {root}
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        for y in g.adj[x]:
-            if y != v and y not in comp:
-                comp.add(y)
-                stack.append(y)
-    cycle_side = frozenset(comp)
-    tail_side = frozenset(set(range(g.n)) - comp)
-    return cycle_side, tail_side
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:

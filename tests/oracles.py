@@ -72,6 +72,13 @@ def all_connected_n_edge_graphs(n: int) -> list[frozenset[tuple[int, int]]]:
     return out
 
 
+def tadpole3_reduced(n: int, h) -> object:
+    """The r = 3 tadpole closed form after simplification by hand:
+    n h(1) + sum_{j=2}^{n-2} (n-j) h(j).  A second route to
+    ``tadpole_closed_form(3, n, h)``, which is evaluated term by term."""
+    return n * h(1) + sum((n - j) * h(j) for j in range(2, n - 1))
+
+
 # ---------------------------------------------------------------------------
 # isomorphism oracle: backtracking canonical form
 

@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import os
 
 import pytest
 
@@ -203,11 +206,20 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--n", "10", "--count-only")
         assert code == 2 and "cap" in err
 
-    def test_hard_ceiling_on_cap_flag(self, capsys):
-        code, _, err = run(
-            capsys, "enumerate", "--n", "11", "--cap", "11", "--count-only"
-        )
-        assert code == 2 and "ceiling" in err
+    @pytest.mark.parametrize(
+        "command", [["enumerate", "--count-only"], ["verify", "--weight", "power:1"]]
+    )
+    def test_cap_flag_is_gone(self, capsys, monkeypatch, command):
+        from wienerbounds import enumeration, extremal
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a scan was started")
+
+        monkeypatch.setattr(enumeration, "iter_unicyclic_edge_masks", no_scan)
+        monkeypatch.setattr(extremal, "_weight_tables", no_scan)
+        code, out, err = run(capsys, *command, "--n", "10", "--cap", "10")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --cap 10" in err
 
 
 class TestVerify:
@@ -280,6 +292,63 @@ class TestVerify:
         )
         assert code == 2 and out == ""
         assert "--jobs 1000000" in err and "CPUs" in err
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [("10", "n=10 exceeds the enumeration cap 9"), ("22", "n=22 exceeds"), ("2", "n >= 3")],
+    )
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_n_outside_the_scan_range_rejected_before_any_table_or_worker(
+        self, capsys, monkeypatch, n, message, jobs
+    ):
+        import multiprocessing
+
+        from wienerbounds import extremal
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a weight table or a process context was requested")
+
+        monkeypatch.setattr(multiprocessing, "get_context", forbidden)
+        monkeypatch.setattr(extremal, "_weight_tables", forbidden)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        code, out, err = run(capsys, "verify", "--n", n, "--weight", "power:1", "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--jobs", "0"], "--jobs 0"),
+            (["--jobs", "-3"], "--jobs -3"),
+            (["--tol", "-1"], "--tol -1.0"),
+            (["--tol", "nan"], "--tol nan"),
+        ],
+    )
+    @pytest.mark.parametrize("weight", ["power:1", "power:-1"])
+    def test_bad_jobs_or_tol_rejected_before_any_scan(
+        self, capsys, monkeypatch, flags, message, weight
+    ):
+        import multiprocessing
+
+        from wienerbounds import extremal
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a scan or a process context was started")
+
+        monkeypatch.setattr(multiprocessing, "get_context", forbidden)
+        monkeypatch.setattr(extremal, "scan_extremes", forbidden)
+        code, out, err = run(capsys, "verify", "--n", "7", "--weight", weight, *flags)
+        assert code == 2 and out == ""
+        assert message in err
+
+    def test_csv_quotes_a_field_that_holds_the_separator(self, capsys):
+        argv = ["verify", "--n", "4", "--weight", "table:1,2"]
+        _, json_out, _ = run(capsys, *argv)
+        code, out, _ = run(capsys, "--format", "csv", *argv)
+        assert code == 0
+        header, row = csv.reader(io.StringIO(out))
+        assert len(row) == len(header) == 15
+        assert dict(zip(header, row))["weight"] == json.loads(json_out)["weight"] == "table:1.0,2.0"
 
     @pytest.mark.parametrize("weight", ["power:1", "power:-1"])
     def test_empty_shard_has_null_extremes(self, capsys, weight):

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import networkx as nx
@@ -106,6 +107,27 @@ class TestLabeledEnumeration:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             next(iter(enumerate_unicyclic_labeled(2)))
+
+    @pytest.mark.parametrize("n", [2, 10, 22])
+    @pytest.mark.parametrize(
+        "entry",
+        [iter_unicyclic_edge_masks, enumerate_unicyclic_labeled, enumerate_unicyclic_unlabeled],
+    )
+    def test_bad_n_refused_on_the_call_not_on_the_first_next(self, entry, n):
+        message = "n >= 3" if n < 3 else f"n={n} exceeds the enumeration cap 9"
+        with pytest.raises(ValueError, match=message):
+            entry(n)
+
+    def test_bad_shard_refused_on_the_call(self):
+        with pytest.raises(ValueError, match="bad shard"):
+            iter_unicyclic_edge_masks(5, (3, 3))
+
+    def test_cap_error_survives_a_pickle_round_trip(self):
+        # a worker's exception reaches the parent process pickled
+        with pytest.raises(EnumerationCapError) as info:
+            iter_unicyclic_edge_masks(10)
+        back = pickle.loads(pickle.dumps(info.value))
+        assert type(back) is EnumerationCapError and back.args == info.value.args
 
 
 class TestCanonicalForms:

@@ -102,6 +102,25 @@ class TestVerifyTheorem:
         assert many[1].max_value.value == 81
         assert all(r.claims_ok() for r in many)
 
+    @pytest.mark.parametrize("n", [2, 10, 22])
+    def test_bad_n_refused_before_any_table_or_worker(self, monkeypatch, n):
+        import multiprocessing
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a weight table or a process context was requested")
+
+        monkeypatch.setattr(extremal, "_weight_tables", forbidden)
+        monkeypatch.setattr(multiprocessing, "get_context", forbidden)
+        h = PowerWeight(1)
+        for call in (
+            lambda: scan_extremes(n, [h]),
+            lambda: scan_extremes(n, [h], (0, 2)),
+            lambda: extremal.scan_extremes_parallel(n, [h], 2),
+            lambda: verify_theorem_many(n, [h], jobs=2),
+        ):
+            with pytest.raises(ValueError, match="n >= 3" if n < 3 else "enumeration cap 9"):
+                call()
+
     def test_parallel_matches_serial(self):
         serial = verify_theorem(6, PowerWeight(1), jobs=1)
         parallel = verify_theorem(6, PowerWeight(1), jobs=2)

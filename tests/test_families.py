@@ -1,7 +1,9 @@
+import tracemalloc
+
 import pytest
 
 from wienerbounds.families import cycle, path, star, tadpole, triangle_star
-from wienerbounds.graphs import find_cycle, is_unicyclic
+from wienerbounds.graphs import MAX_VERTICES, GraphError, find_cycle, is_unicyclic
 from wienerbounds.indices import wiener
 
 
@@ -28,6 +30,22 @@ class TestBasicFamilies:
     def test_paths_and_stars_are_not_unicyclic(self):
         assert not is_unicyclic(path(5))
         assert not is_unicyclic(star(5))
+
+    @pytest.mark.parametrize(
+        "build",
+        [path, cycle, star, triangle_star, lambda n: tadpole(3, n), lambda n: tadpole(n, n)],
+        ids=["path", "cycle", "star", "triangle_star", "tadpole_3", "tadpole_full"],
+    )
+    def test_oversized_n_refused_before_any_edge_is_built(self, build):
+        # an edge list of MAX_VERTICES tuples takes about 10 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError, match=str(MAX_VERTICES)):
+                build(MAX_VERTICES + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestTriangleStar:

@@ -13,7 +13,6 @@ from wienerbounds.graphs import (
     GraphError,
     NotUnicyclicError,
     bfs_distances,
-    connected_components,
     diameter,
     distance_distribution,
     find_cycle,
@@ -24,7 +23,6 @@ from wienerbounds.graphs import (
     parse_edge_list,
     peel_leaves,
     relabel,
-    tail_decomposition,
 )
 
 import oracles
@@ -253,52 +251,7 @@ class TestMajorVertices:
                 assert empty == is_path, f"n={n} seq={seq}"
 
 
-class TestTailDecomposition:
-    def test_tadpole_junction(self):
-        g = tadpole(3, 6)
-        cycle_side, tail_side = tail_decomposition(g, 0)
-        assert tail_side == {0, 3, 4, 5}
-        assert cycle_side == {1, 2}
-
-    def test_leaf_of_triangle_star(self):
-        g = triangle_star(6)
-        cycle_side, tail_side = tail_decomposition(g, 5)
-        assert tail_side == {5}
-        assert cycle_side == {0, 1, 2, 3, 4}
-
-    def test_cycle_vertex_without_tail(self):
-        g = cycle(5)
-        for v in range(5):
-            cycle_side, tail_side = tail_decomposition(g, v)
-            assert tail_side == {v}
-
-    def test_partition_and_tree(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            g = random_unicyclic(8, rng)
-            for v in range(g.n):
-                cycle_side, tail_side = tail_decomposition(g, v)
-                assert cycle_side | tail_side == set(range(g.n))
-                assert not (cycle_side & tail_side)
-                assert v in tail_side
-                # tail side induces a tree: connected with |V| - 1 edges
-                sub = [e for e in g.edges() if e[0] in tail_side and e[1] in tail_side]
-                if len(tail_side) > 1:
-                    idx = {x: i for i, x in enumerate(sorted(tail_side))}
-                    t = Graph.from_edges(
-                        len(tail_side), [(idx[a], idx[b]) for a, b in sub]
-                    )
-                    assert is_connected(t)
-                    assert t.edge_count == t.n - 1
-                else:
-                    assert sub == []
-
-
 class TestMisc:
-    def test_components(self):
-        g = parse_edge_list("n 5\n0 1\n2 3")
-        assert connected_components(g) == [frozenset({0, 1}), frozenset({2, 3}), frozenset({4})]
-
     def test_relabel_preserves_structure(self):
         g = tadpole(4, 7)
         perm = [3, 0, 6, 2, 5, 1, 4]
