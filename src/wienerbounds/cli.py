@@ -4,7 +4,7 @@ Subcommands: compute, construct, closed-form, enumerate, verify, lemmas,
 search.  Exit codes: 0 success (and, for verify/lemmas, every claim
 holding), 1 claim violation (the counterexample is part of the report),
 2 usage or input error.  Data goes to stdout, diagnostics to stderr.
-Exact integer and rational values serialize as decimal strings in JSON so
+Exact integer values serialize as decimal strings in JSON so
 consumers never round them through floats.
 """
 
@@ -39,6 +39,12 @@ from .weights import QWienerWeight, WeightError, parse_weight_spec
 
 USAGE_ERROR = 2
 CLAIM_VIOLATION = 1
+
+# Closed forms are summed term by term: the tadpole at r = n/2 has about
+# n^2/8 terms, about a second at n = 4,000.  The dominance sweep evaluates
+# every tadpole 4 <= r <= n <= nmax, about two seconds at nmax = 100.
+CLOSED_FORM_MAX_N = 4000
+LEMMAS_MAX_NMAX = 100
 
 
 def _emit_json(payload) -> None:
@@ -132,6 +138,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_closed_form(args) -> int:
+    if args.n > CLOSED_FORM_MAX_N:
+        raise ValueError(f"--n {args.n} exceeds the closed-form limit {CLOSED_FORM_MAX_N}")
     h = parse_weight_spec(args.weight)
     if args.formula == "path":
         iv = path_closed_form(args.n, h)
@@ -213,13 +221,21 @@ def _report_payload(report: extremal.VerificationReport) -> dict:
 
 
 def _cmd_verify(args) -> int:
+    given = [flag for flag, v in (("--jobs", args.jobs), ("--tol", args.tol)) if v is not None]
+    if args.shard and given:
+        raise ValueError(
+            f"--shard takes no {' or '.join(given)}: a shard is one serial partial scan "
+            "with no claim to check"
+        )
+    jobs = 1 if args.jobs is None else args.jobs
+    tol = 1e-9 if args.tol is None else args.tol
     cpus = os.cpu_count() or 1
-    if args.jobs < 1:
-        raise ValueError(f"--jobs {args.jobs}: need at least one worker")
-    if args.jobs > cpus:
-        raise ValueError(f"--jobs {args.jobs} exceeds the {cpus} CPUs of this machine")
-    if not args.tol >= 0:  # also refuses nan
-        raise ValueError(f"--tol {args.tol}: a tolerance cannot be negative")
+    if jobs < 1:
+        raise ValueError(f"--jobs {jobs}: need at least one worker")
+    if jobs > cpus:
+        raise ValueError(f"--jobs {jobs} exceeds the {cpus} CPUs of this machine")
+    if not tol >= 0:  # also refuses nan
+        raise ValueError(f"--tol {tol}: a tolerance cannot be negative")
     h = parse_weight_spec(args.weight)
     if isinstance(h, QWienerWeight) and h.variant == 2 and h.diameter is None:
         raise WeightError(
@@ -245,7 +261,7 @@ def _cmd_verify(args) -> int:
             payload[key] = None if value is None else IndexValue(value, mode, key).to_json_value()
         _emit_record(payload, args.format)
         return 0
-    report = extremal.verify_theorem(args.n, h, jobs=args.jobs, rel_tol=args.tol)
+    report = extremal.verify_theorem(args.n, h, jobs=jobs, rel_tol=tol)
     payload = _report_payload(report)
     if args.format != "json":
         for key in ("argmin_example", "argmax_example"):
@@ -256,6 +272,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
+    if args.nmax > LEMMAS_MAX_NMAX:
+        raise ValueError(f"--nmax {args.nmax} exceeds the sweep limit {LEMMAS_MAX_NMAX}")
     h = parse_weight_spec(args.weight)
     results = extremal.check_f3_dominance(args.nmax, h)
     violations = [(r, n) for r, n, ok in results if not ok]
@@ -348,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--weight", required=True)
     p.add_argument("--shard", help="emit a mergeable partial scan for shard i/k")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for the scan")
-    p.add_argument("--tol", type=float, default=1e-9, help="relative tolerance for float weights")
+    p.add_argument("--jobs", type=int, help="worker processes for the scan (default 1)")
+    p.add_argument("--tol", type=float, help="relative tolerance for float weights (default 1e-9)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("lemmas", help="sweep the closed-form dominance comparisons")

@@ -1,11 +1,12 @@
 """Exhaustive generation of labeled trees and unicyclic graphs.
 
 Unicyclic graphs on n vertices are generated as (spanning tree, chord)
-pairs: every labeled tree comes from its Prufer sequence, and a chord is
-kept only when it is the lexicographically smallest edge of the cycle it
-closes.  Each labeled unicyclic graph has exactly one such pair (one per
-cycle edge, of which one is minimal), so the stream is duplicate-free
-without keeping a global seen-set.
+pairs: every labeled tree comes from its Prufer sequence, and its chords
+are the (u, v), u < v, that close a cycle whose least vertex is u and in
+which v is below u's other neighbour; each is reached directly from u's
+tree edges.  That chord is the cycle's lexicographically smallest edge, so
+each labeled unicyclic graph has exactly one such pair and the stream is
+duplicate-free without keeping a global seen-set.
 
 Sequence indices shard deterministically: shard (i, k) processes Prufer
 ranks congruent to i mod k, and per-shard aggregates merge associatively.
@@ -112,73 +113,46 @@ def iter_unicyclic_edge_masks(
 def _chord_closures(
     n: int, seqs: Iterator[tuple[int, ...]]
 ) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Each tree of ``seqs`` plus each chord that is the smallest edge of its cycle."""
-    rng = range(n)
-    pair_rng = [(u, v) for u in rng for v in range(u + 1, n)]
+    """Each tree of ``seqs`` plus each chord that is the smallest edge of its cycle.
+
+    Chord (u, v), u < v, is that edge iff u is the least vertex of the cycle
+    and v is below w, u's other cycle neighbour.  So for each tree edge
+    (u, w) with u < w, a level walk from w through vertices above u reaches
+    every such v: each v < w at tree distance d >= 2 from u closes a cycle
+    of length d + 1.  Chords come in (u, v) order.
+    """
     for seq in seqs:
         amask = _decode_prufer(seq, n)[0]
-        # parent/depth arrays rooted at 0, for tree-path walks
-        parent = [0] * n
-        depth = [0] * n
-        stack = [0]
-        seen = 1
-        while stack:
-            x = stack.pop()
-            m = amask[x] & ~seen
-            dx = depth[x] + 1
-            while m:
-                b = m & -m
-                y = b.bit_length() - 1
-                parent[y] = x
-                depth[y] = dx
-                stack.append(y)
-                seen |= b
-                m ^= b
-        for u, v in pair_rng:
-            if amask[u] >> v & 1:
-                continue
-            # chord (u, v) closes the cycle = tree path u..v plus the chord;
-            # accept only the lexicographically smallest cycle edge as chord
-            code = u * n + v
-            a, b = u, v
-            da, db = depth[a], depth[b]
-            mince = code
-            cyclen = 1
-            while da > db:
-                pa = parent[a]
-                c = (a * n + pa) if a < pa else (pa * n + a)
-                if c < mince:
-                    mince = c
-                a = pa
-                da -= 1
-                cyclen += 1
-            while db > da:
-                pb = parent[b]
-                c = (b * n + pb) if b < pb else (pb * n + b)
-                if c < mince:
-                    mince = c
-                b = pb
-                db -= 1
-                cyclen += 1
-            while a != b:
-                pa = parent[a]
-                c = (a * n + pa) if a < pa else (pa * n + a)
-                if c < mince:
-                    mince = c
-                a = pa
-                pb = parent[b]
-                c = (b * n + pb) if b < pb else (pb * n + b)
-                if c < mince:
-                    mince = c
-                b = pb
-                cyclen += 2
-            if mince != code:
-                continue
-            amask[u] |= 1 << v
-            amask[v] |= 1 << u
-            yield tuple(amask), cyclen
-            amask[u] &= ~(1 << v)
-            amask[v] &= ~(1 << u)
+        for u in range(n - 2):
+            above = -2 << u  # the vertices u + 1 .. n - 1
+            chords = []
+            ws = amask[u] & above
+            while ws:
+                w = ws & -ws  # the bit of w
+                ws ^= w
+                level = seen = w
+                d = 1  # tree distance from u
+                while level:
+                    hits = level & (w - 1)
+                    while hits:
+                        b = hits & -hits
+                        chords.append((b.bit_length() - 1, d + 1))
+                        hits ^= b
+                    nxt = 0
+                    while level:
+                        b = level & -level
+                        nxt |= amask[b.bit_length() - 1]
+                        level ^= b
+                    level = nxt & above & ~seen
+                    seen |= level
+                    d += 1
+            chords.sort()
+            for v, cyclen in chords:
+                amask[u] |= 1 << v
+                amask[v] |= 1 << u
+                yield tuple(amask), cyclen
+                amask[u] &= ~(1 << v)
+                amask[v] &= ~(1 << u)
 
 
 def graph_from_masks(n: int, masks: Sequence[int]) -> Graph:

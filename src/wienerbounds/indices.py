@@ -2,25 +2,24 @@
 
 Every index here is sum-over-pairs of some weight of the pairwise distance,
 so one BFS pass per graph (the distance distribution) serves every weight.
-Integer-valued weights are accumulated exactly; half-integer family members
-(hyper-Wiener, Tratch-Stankevich-Zefirov) use exact rationals.
+Integer-valued weights are accumulated exactly.  Hyper-Wiener and
+Tratch-Stankevich-Zefirov weight distance d by the binomials C(d+1, 2) and
+C(d+2, 3), so both are integer sums over one distribution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import comb
 from typing import Union
 
 from .graphs import DistanceDistribution, Graph, distance_distribution
-from .weights import PowerWeight, QWienerWeight, WeightFunction
-
-Number = Union[int, float, Fraction]
+from .weights import Number, PowerWeight, QWienerWeight, WeightFunction
 
 
 @dataclass(frozen=True)
 class IndexValue:
-    """An index result: exact integer/rational or float, with a display name."""
+    """An index result: exact integer or float, with a display name."""
 
     value: Number
     mode: str  # "exact" or "float"
@@ -62,13 +61,9 @@ def wiener(g: Graph) -> IndexValue:
 
 
 def hyper_wiener(g: Graph) -> IndexValue:
-    """Hyper-Wiener index (W^1 + W^2) / 2, as an exact rational."""
-    dist = distance_distribution(g)
-    w1 = index_from_distribution(dist, PowerWeight(1)).value
-    w2 = index_from_distribution(dist, PowerWeight(2)).value
-    value = Fraction(w1 + w2, 2)
-    if value.denominator == 1:
-        value = value.numerator
+    """Hyper-Wiener index (W^1 + W^2) / 2 = sum C(d+1, 2), an exact integer."""
+    counts = distance_distribution(g).counts
+    value = sum(c * comb(d + 1, 2) for d, c in counts.items())
     return IndexValue(value, "exact", "hyper-wiener")
 
 
@@ -88,12 +83,8 @@ def q_wiener(g: Graph, q: float, variant: int) -> IndexValue:
 
 
 def tsz_index(g: Graph) -> IndexValue:
-    """Tratch-Stankevich-Zefirov index (2 W^1 + 3 W^2 + W^3) / 6, exact rational."""
-    dist = distance_distribution(g)
-    w1 = index_from_distribution(dist, PowerWeight(1)).value
-    w2 = index_from_distribution(dist, PowerWeight(2)).value
-    w3 = index_from_distribution(dist, PowerWeight(3)).value
-    value = Fraction(2 * w1 + 3 * w2 + w3, 6)
-    if value.denominator == 1:
-        value = value.numerator
+    """Tratch-Stankevich-Zefirov index (2 W^1 + 3 W^2 + W^3) / 6 = sum C(d+2, 3),
+    an exact integer."""
+    counts = distance_distribution(g).counts
+    value = sum(c * comb(d + 2, 3) for d, c in counts.items())
     return IndexValue(value, "exact", "tsz")

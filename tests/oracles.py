@@ -72,6 +72,30 @@ def all_connected_n_edge_graphs(n: int) -> list[frozenset[tuple[int, int]]]:
     return out
 
 
+def unicyclic_stream(n: int, shard: tuple[int, int] | None = None) -> list:
+    """The labeled unicyclic stream from its definition: for each Prufer
+    sequence in rank order (ranks i mod k under shard (i, k)) and each
+    non-edge (u, v) in ascending order, keep tree + (u, v) iff (u, v) is the
+    smallest edge of its cycle.  Returns the (adjacency bitmasks, cycle
+    length) pairs in that order."""
+    out = []
+    seqs = itertools.product(range(n), repeat=n - 2)
+    for rank, seq in enumerate(seqs):
+        if shard is not None and rank % shard[1] != shard[0]:
+            continue
+        tree = nx.from_prufer_sequence(list(seq))
+        for u, v in itertools.combinations(range(n), 2):
+            if tree.has_edge(u, v):
+                continue
+            g = tree.copy()
+            g.add_edge(u, v)
+            cycle = [tuple(sorted(e)) for e in nx.find_cycle(g)]
+            if min(cycle) == (u, v):
+                masks = tuple(sum(1 << y for y in g[x]) for x in range(n))
+                out.append((masks, len(cycle)))
+    return out
+
+
 def tadpole3_reduced(n: int, h) -> object:
     """The r = 3 tadpole closed form after simplification by hand:
     n h(1) + sum_{j=2}^{n-2} (n-j) h(j).  A second route to

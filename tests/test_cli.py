@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from wienerbounds.cli import main
+from wienerbounds.cli import CLOSED_FORM_MAX_N, LEMMAS_MAX_NMAX, main
 from wienerbounds.families import tadpole, triangle_star
 from wienerbounds.graphs import MAX_VERTICES, format_edge_list, parse_edge_list
 
@@ -150,6 +150,31 @@ class TestClosedForm:
             capsys, "closed-form", "--formula", "F", "--n", "10", "--weight", "power:1"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "formula", [["path"], ["cycle"], ["jn"], ["F", "--r", "3"], ["F", "--r", "2000"]]
+    )
+    def test_n_above_the_limit_rejected_before_any_term(self, capsys, monkeypatch, formula):
+        from wienerbounds import closed_forms
+
+        def no_terms(*args, **kwargs):
+            raise AssertionError("a closed-form term was summed")
+
+        monkeypatch.setattr(closed_forms, "_sum", no_terms)
+        n = str(CLOSED_FORM_MAX_N + 1)
+        code, out, err = run(
+            capsys, "closed-form", "--formula", *formula, "--n", n, "--weight", "power:1"
+        )
+        assert code == 2 and out == ""
+        assert f"--n {n}" in err and str(CLOSED_FORM_MAX_N) in err
+
+    def test_n_at_the_limit_accepted(self, capsys):
+        n = str(CLOSED_FORM_MAX_N)
+        code, out, _ = run(
+            capsys, "closed-form", "--formula", "path", "--n", n, "--weight", "power:1"
+        )
+        assert code == 0
+        assert json.loads(out)[0]["value"] == str((CLOSED_FORM_MAX_N**3 - CLOSED_FORM_MAX_N) // 6)
 
 
 class TestEnumerate:
@@ -350,6 +375,30 @@ class TestVerify:
         assert len(row) == len(header) == 15
         assert dict(zip(header, row))["weight"] == json.loads(json_out)["weight"] == "table:1.0,2.0"
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--jobs", "2"], ["--jobs"]),
+            (["--jobs", "1"], ["--jobs"]),
+            (["--tol", "5"], ["--tol"]),
+            (["--jobs", "2", "--tol", "5"], ["--jobs", "--tol"]),
+        ],
+    )
+    def test_shard_with_jobs_or_tol_rejected_before_any_scan(
+        self, capsys, monkeypatch, flags, named
+    ):
+        from wienerbounds import extremal
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a scan was started")
+
+        monkeypatch.setattr(extremal, "scan_extremes", forbidden)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        argv = ["verify", "--n", "6", "--weight", "power:1", "--shard", "0/2", *flags]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "--shard" in err and all(flag in err for flag in named)
+
     @pytest.mark.parametrize("weight", ["power:1", "power:-1"])
     def test_empty_shard_has_null_extremes(self, capsys, weight):
         # 4^2 = 16 Prufer ranks, so shard 50/100 holds none of them
@@ -379,6 +428,33 @@ class TestLemmas:
         # and exits 0; any --nmax >= 4 includes the r = n = 4 tie and exits 1
         code, out, _ = run(capsys, "lemmas", "--nmax", "3", "--weight", "power:1")
         assert code == 0 and json.loads(out)["pairs_checked"] == 0
+
+    def test_criterion_4_sweep_accepted(self, capsys):
+        code, out, _ = run(capsys, "lemmas", "--nmax", "30", "--weight", "power:1")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["pairs_checked"] == 378 and payload["violations"] == [[4, 4]]
+
+    def test_nmax_above_the_limit_rejected_before_any_term(self, capsys, monkeypatch):
+        from wienerbounds import closed_forms, extremal
+
+        def no_terms(*args, **kwargs):
+            raise AssertionError("the sweep was started")
+
+        monkeypatch.setattr(extremal, "check_f3_dominance", no_terms)
+        monkeypatch.setattr(closed_forms, "_sum", no_terms)
+        nmax = str(LEMMAS_MAX_NMAX + 1)
+        code, out, err = run(capsys, "lemmas", "--nmax", nmax, "--weight", "power:1")
+        assert code == 2 and out == ""
+        assert f"--nmax {nmax}" in err and str(LEMMAS_MAX_NMAX) in err
+
+    def test_nmax_at_the_limit_accepted(self, capsys, monkeypatch):
+        from wienerbounds import extremal
+
+        monkeypatch.setattr(extremal, "check_f3_dominance", lambda nmax, h: [])
+        nmax = str(LEMMAS_MAX_NMAX)
+        code, out, _ = run(capsys, "lemmas", "--nmax", nmax, "--weight", "power:1")
+        assert code == 0 and json.loads(out)["nmax"] == LEMMAS_MAX_NMAX
 
     def test_boundary_tie_reported_as_violation(self, capsys):
         code, out, _ = run(capsys, "lemmas", "--nmax", "12", "--weight", "power:1")

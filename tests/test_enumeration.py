@@ -69,12 +69,18 @@ class TestLabeledEnumeration:
         graphs = list(enumerate_unicyclic_labeled(3))
         assert len(graphs) == 1 and graphs[0] == cycle(3)
 
-    @pytest.mark.parametrize("n,count", [(4, 15), (5, 222)])
+    @pytest.mark.parametrize("n,count", [(4, 15), (5, 222), (6, 3660)])
     def test_counts_and_edge_sets_match_bruteforce(self, n, count):
         expected = set(oracles.all_connected_n_edge_graphs(n))
         got = [frozenset(g.edges()) for g in enumerate_unicyclic_labeled(n)]
         assert len(got) == len(set(got)) == count
         assert set(got) == expected
+
+    @pytest.mark.parametrize("shard", [None, (0, 3), (1, 3), (2, 3)])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_stream_matches_its_definition(self, n, shard):
+        # masks, cycle lengths and order, against tree + chord via networkx
+        assert list(iter_unicyclic_edge_masks(n, shard)) == oracles.unicyclic_stream(n, shard)
 
     def test_cycle_length_sum_identity(self):
         # each graph arises from one (tree, chord) pair per cycle edge
