@@ -24,18 +24,9 @@ from .closed_forms import (
     tadpole_closed_form,
     triangle_star_closed_form,
 )
-from .graphs import Graph, GraphError, format_edge_list, parse_edge_list
-from .indices import (
-    IndexValue,
-    generalized_wiener,
-    harary,
-    hyper_wiener,
-    q_wiener,
-    reciprocal_wiener,
-    tsz_index,
-    wiener,
-)
-from .weights import QWienerWeight, WeightError, parse_weight_spec
+from .graphs import Graph, GraphError, distance_distribution, format_edge_list, parse_edge_list
+from .indices import IndexValue, generalized_wiener, index_from_distribution, named_indices
+from .weights import PowerWeight, QWienerWeight, WeightError, parse_weight_spec
 
 USAGE_ERROR = 2
 CLAIM_VIOLATION = 1
@@ -45,6 +36,10 @@ CLAIM_VIOLATION = 1
 # every tadpole 4 <= r <= n <= nmax, about two seconds at nmax = 100.
 CLOSED_FORM_MAX_N = 4000
 LEMMAS_MAX_NMAX = 100
+# An exact power:E term is an integer of about E log2(n) bits.  At both
+# limits above, power:50 takes under twice as long as power:1, and power:100
+# over three times as long.
+MAX_EXACT_EXPONENT = 50
 
 
 def _emit_json(payload) -> None:
@@ -83,6 +78,17 @@ def _load_graph(path: str) -> Graph:
         raise GraphError(f"cannot read {path}: {exc}") from exc
 
 
+def _closed_form_weight(spec: str):
+    """The weight of a closed-form sum, refusing an exact exponent above
+    MAX_EXACT_EXPONENT before any term is evaluated."""
+    h = parse_weight_spec(spec)
+    if isinstance(h, PowerWeight) and h.exact and h.exponent > MAX_EXACT_EXPONENT:
+        raise ValueError(
+            f"{h.description} exceeds the exact exponent limit {MAX_EXACT_EXPONENT}"
+        )
+    return h
+
+
 def _parse_shard(text: str) -> tuple[int, int]:
     try:
         i, k = text.split("/")
@@ -96,22 +102,14 @@ def _parse_shard(text: str) -> tuple[int, int]:
 
 def _cmd_compute(args) -> int:
     g = _load_graph(args.graph)
-    rows = []
-    if args.weight:
-        h = parse_weight_spec(args.weight)
-        rows.append(_index_row(generalized_wiener(g, h)))
-    if args.all_named:
-        rows.append(_index_row(wiener(g)))
-        rows.append(_index_row(hyper_wiener(g)))
-        rows.append(_index_row(harary(g)))
-        rows.append(_index_row(reciprocal_wiener(g)))
-        rows.append(_index_row(tsz_index(g)))
-        if args.q is not None:
-            for variant in (1, 2, 3):
-                rows.append(_index_row(q_wiener(g, args.q, variant)))
-    if not rows:
+    h = parse_weight_spec(args.weight) if args.weight else None
+    if h is None and not args.all_named:
         raise ValueError("nothing to compute: pass --weight and/or --all-named")
-    _emit_rows(rows, args.format)
+    dist = distance_distribution(g)  # one distribution serves every row
+    values = [index_from_distribution(dist, h)] if h is not None else []
+    if args.all_named:
+        values += named_indices(dist, args.q)
+    _emit_rows([_index_row(iv) for iv in values], args.format)
     return 0
 
 
@@ -140,7 +138,7 @@ def _cmd_construct(args) -> int:
 def _cmd_closed_form(args) -> int:
     if args.n > CLOSED_FORM_MAX_N:
         raise ValueError(f"--n {args.n} exceeds the closed-form limit {CLOSED_FORM_MAX_N}")
-    h = parse_weight_spec(args.weight)
+    h = _closed_form_weight(args.weight)
     if args.formula == "path":
         iv = path_closed_form(args.n, h)
     elif args.formula == "cycle":
@@ -158,11 +156,10 @@ def _cmd_closed_form(args) -> int:
 def _cmd_enumerate(args) -> int:
     shard = _parse_shard(args.shard) if args.shard else None
     if args.unlabeled and shard is not None:
-        # a class's first labeled member can fall in any shard
-        raise ValueError("--unlabeled takes no --shard: class counts do not add up across shards")
+        raise ValueError("--unlabeled takes no --shard: a shard is a set of Prufer ranks")
     if args.count_only:
         if args.unlabeled:
-            count = sum(1 for _ in enumeration.enumerate_unicyclic_unlabeled(args.n))
+            count = sum(1 for _ in enumeration.iter_unicyclic_classes(args.n))
             payload = {"n": args.n, "unlabeled_count": count}
         else:
             count = 0
@@ -274,7 +271,7 @@ def _cmd_verify(args) -> int:
 def _cmd_lemmas(args) -> int:
     if args.nmax > LEMMAS_MAX_NMAX:
         raise ValueError(f"--nmax {args.nmax} exceeds the sweep limit {LEMMAS_MAX_NMAX}")
-    h = parse_weight_spec(args.weight)
+    h = _closed_form_weight(args.weight)
     results = extremal.check_f3_dominance(args.nmax, h)
     violations = [(r, n) for r, n, ok in results if not ok]
     payload = {
@@ -365,7 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustively verify the extremal bounds for one n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--weight", required=True)
-    p.add_argument("--shard", help="emit a mergeable partial scan for shard i/k")
+    p.add_argument(
+        "--shard", help="emit a mergeable partial labeled scan of Prufer ranks == i mod k, as i/k"
+    )
     p.add_argument("--jobs", type=int, help="worker processes for the scan (default 1)")
     p.add_argument("--tol", type=float, help="relative tolerance for float weights (default 1e-9)")
     p.set_defaults(func=_cmd_verify)

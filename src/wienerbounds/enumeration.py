@@ -1,6 +1,7 @@
-"""Exhaustive generation of labeled trees and unicyclic graphs.
+"""Exhaustive generation of labeled trees, labeled unicyclic graphs, and
+isomorphism classes of unicyclic graphs.
 
-Unicyclic graphs on n vertices are generated as (spanning tree, chord)
+Labeled unicyclic graphs on n vertices are generated as (spanning tree, chord)
 pairs: every labeled tree comes from its Prufer sequence, and its chords
 are the (u, v), u < v, that close a cycle whose least vertex is u and in
 which v is below u's other neighbour; each is reached directly from u's
@@ -10,34 +11,45 @@ duplicate-free without keeping a global seen-set.
 
 Sequence indices shard deterministically: shard (i, k) processes Prufer
 ranks congruent to i mod k, and per-shard aggregates merge associatively.
+
+The class engine builds each isomorphism class of unicyclic graphs once,
+as rooted trees around a cycle, with its automorphism count and distance
+counts, and never a labeled graph; its shard (i, k) takes the classes
+congruent to i mod k.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from random import Random
 from typing import Iterator, Sequence
 
 from .graphs import Graph, GraphError, is_connected, peel_leaves
 
-# The exhaustive scans stop here: n = 9 is 33,779,340 labeled unicyclic
+# The labeled scans stop here: n = 9 is 33,779,340 labeled unicyclic
 # graphs (OEIS A057500) and n = 10 is 880,107,840, hours on two workers.
 MAX_SCAN_N = 9
 
 
 class EnumerationCapError(ValueError):
-    """Requested n is above MAX_SCAN_N, the limit of the exhaustive scans."""
+    """Requested n is above the limit of a scan: MAX_SCAN_N for the labeled
+    scans, MAX_CLASS_N for the class engine."""
 
 
-def check_scan_n(n: int) -> None:
-    """Refuse an n that no exhaustive scan takes: below 3 (no unicyclic graph)
-    or above MAX_SCAN_N.  Every scan entry point calls this first, before it
-    builds a table or starts a worker."""
-    if n < 3:
-        raise ValueError(f"unicyclic graphs need n >= 3, got {n}")
-    if n > MAX_SCAN_N:
-        raise EnumerationCapError(f"n={n} exceeds the enumeration cap {MAX_SCAN_N}")
+def check_n(n: int, cap: int = MAX_SCAN_N, engine: str = "enumeration", lo: int = 3) -> None:
+    """Refuse an n that a scan does not take: below lo (3: no unicyclic
+    graph) or above its cap, MAX_SCAN_N for the labeled scans and
+    MAX_CLASS_N for the class engine.  Every scan entry point calls this
+    first, before it builds a table, a tree or a worker."""
+    if n < lo:
+        raise ValueError(f"need n >= {lo}, got {n}")
+    if n > cap:
+        raise EnumerationCapError(f"n={n} exceeds the {engine} cap {cap}")
 
 
 def _decode_prufer(seq: Sequence[int], n: int) -> tuple[list[int], list[int]]:
@@ -106,7 +118,7 @@ def iter_unicyclic_edge_masks(
     form keeps exhaustive scans cheap.  A bad n or shard raises here, on the
     call, not on the first next().
     """
-    check_scan_n(n)
+    check_n(n)
     return _chord_closures(n, _prufer_sequences(n, shard))
 
 
@@ -231,23 +243,12 @@ def class_key(n: int, masks: Sequence[int]) -> tuple[str, ...]:
     )
 
 
-def canonical_form(g: Graph) -> bytes:
-    """Canonical byte string: n, then the sorted edge pairs of a fixed
-    representative of the isomorphism class.
+def _key_edges(key: Sequence[str]) -> list[tuple[int, int]]:
+    """The sorted edges of the fixed representative of the class keyed ``key``.
 
-    The representative is decoded from ``class_key`` in preorder: the core
-    (centre or cycle) takes labels 0..c-1 in key order, then each subtree is
-    labelled as its code is read.  Two graphs get equal bytes iff they are
-    isomorphic, and the bytes decode to an isomorphic copy.  The domain is the
-    connected graphs with at most one cycle and at most 255 vertices (one
-    byte per label); any other graph raises GraphError.
+    It is decoded in preorder: the core (centre or cycle) takes labels
+    0..c-1 in key order, then each subtree is labelled as its code is read.
     """
-    n = g.n
-    if n > 255:
-        raise GraphError(f"canonical_form writes labels as bytes: at most 255 vertices, got {n}")
-    if g.edge_count not in (n - 1, n) or not is_connected(g):
-        raise GraphError("canonical_form needs a connected graph with at most one cycle")
-    key = class_key(n, g.adjacency_masks())
     c = len(key)
     edges = [(i, i + 1) for i in range(c - 1)]
     if c >= 3:
@@ -263,8 +264,35 @@ def canonical_form(g: Graph) -> bytes:
             else:
                 stack.pop()
     edges.sort()
+    return edges
+
+
+def representative_masks(key: Sequence[str]) -> tuple[int, ...]:
+    """Adjacency bitmasks of the ``canonical_form`` representative of the
+    class keyed ``key`` (each code holds one "(" per vertex)."""
+    masks = [0] * sum(code.count("(") for code in key)
+    for a, b in _key_edges(key):
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    return tuple(masks)
+
+
+def canonical_form(g: Graph) -> bytes:
+    """Canonical byte string: n, then the sorted edge pairs of a fixed
+    representative of the isomorphism class, decoded from ``class_key``.
+
+    Two graphs get equal bytes iff they are isomorphic, and the bytes decode
+    to an isomorphic copy.  The domain is the connected graphs with at most
+    one cycle and at most 255 vertices (one byte per label); any other graph
+    raises GraphError.
+    """
+    n = g.n
+    if n > 255:
+        raise GraphError(f"canonical_form writes labels as bytes: at most 255 vertices, got {n}")
+    if g.edge_count not in (n - 1, n) or not is_connected(g):
+        raise GraphError("canonical_form needs a connected graph with at most one cycle")
     out = bytearray([n])
-    for a, b in edges:
+    for a, b in _key_edges(class_key(n, g.adjacency_masks())):
         out.append(a)
         out.append(b)
     return bytes(out)
@@ -274,20 +302,177 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
     return canonical_form(g1) == canonical_form(g2)
 
 
+# ---------------------------------------------------------------------------
+# the class engine: each isomorphism class once, without a labeled graph
+
+# The class engine stops here: n = 16 is 311,465 classes (OEIS A001429),
+# standing for about 1.6e18 labeled graphs and verified in about 6 s on two
+# workers; each further n has about three times as many classes.
+MAX_CLASS_N = 16
+
+# Distance counts travel as polynomials packed into one int, coefficient d
+# in bits [16 d, 16 d + 16): products and sums of coefficients stay below
+# n^2 <= 2^16 for every n the engine takes.
+_BITS = 16
+_COEF = (1 << _BITS) - 1
+
+
+@dataclass(frozen=True)
+class _RootedTree:
+    """One rooted tree: its size, AHU code, automorphism count, and as
+    packed polynomials its vertices by depth and its vertex pairs by distance."""
+
+    size: int
+    code: str
+    aut: int
+    depths: int
+    pairs: int
+
+
+def _level_sequences(m: int) -> Iterator[tuple[int, ...]]:
+    """The canonical level sequences of the rooted trees on m vertices, from
+    the path down to the star (Beyer and Hedetniemi, SIAM J. Comput. 1980)."""
+    seq = list(range(m))
+    while True:
+        yield tuple(seq)
+        p = m - 1
+        while p > 0 and seq[p] <= 1:
+            p -= 1
+        if p == 0:
+            return
+        q = p - 1
+        while seq[q] != seq[p] - 1:  # the parent of p
+            q -= 1
+        for i in range(p, m):
+            seq[i] = seq[i - (p - q)]
+
+
+def _rooted_trees(max_size: int) -> list[_RootedTree]:
+    """Every rooted tree on 1..max_size vertices, sorted by AHU code.
+
+    A tree's root subtrees are the runs of its level sequence that start at
+    level 1; each is, one level down, the canonical sequence of a smaller
+    tree, whose record is reused.
+    """
+    built: dict[tuple[int, ...], _RootedTree] = {}
+    for m in range(1, max_size + 1):
+        for seq in _level_sequences(m):
+            starts = [i for i in range(1, m) if seq[i] == 1] + [m]
+            kids = [
+                built[tuple(v - 1 for v in seq[a:b])] for a, b in zip(starts, starts[1:])
+            ]
+            below = sum(k.depths for k in kids)  # the kids' vertices, by depth below them
+            across = (below * below - sum(k.depths * k.depths for k in kids)) >> 1
+            aut = 1
+            for k in kids:
+                aut *= k.aut
+            for same in Counter(k.code for k in kids).values():
+                aut *= math.factorial(same)
+            built[seq] = _RootedTree(
+                m,
+                "(" + "".join(sorted(k.code for k in kids)) + ")",
+                aut,
+                1 + (below << _BITS),
+                sum(k.pairs for k in kids) + (below << _BITS) + (across << 2 * _BITS),
+            )
+    return sorted(built.values(), key=lambda t: t.code)
+
+
+def _bracelets(r: int, n: int, by_size: list[list[int]]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every sequence of r tree ranks whose tree sizes add up to n and that
+    is least among its rotations and reflections, with the number of those
+    that fix it; ``by_size[s]`` lists the ranks of size s in order.
+
+    The necklaces (least among their rotations) come from the prenecklace
+    recursion of Fredricksen, Kessler and Maiorana: position t repeats
+    a[t - p] or exceeds it, and a prefix whose sizes cannot still add up to
+    n is cut.  A necklace is kept when no rotation of its reversal reads
+    smaller; each rotation of the reversal that reads the same is a fixing
+    reflection.
+    """
+    a = [0] * (r + 1)  # a[1..r]; a[0] = 0 lets the first rank be any
+
+    def necklaces(t: int, p: int, used: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        room = n - used - (r - t)  # the largest size left for position t
+        lo = a[t - p]
+        for s in range(room if t == r else 1, room + 1):
+            ranks = by_size[s]
+            for j in ranks[bisect_left(ranks, lo) :]:
+                a[t] = j
+                q = p if j == lo else t
+                if t < r:
+                    yield from necklaces(t + 1, q, used + s)
+                elif r % q == 0:  # a necklace of period q
+                    yield tuple(a[1:]), q
+
+    for seq, period in necklaces(1, 1, 0):
+        rev = seq[::-1]
+        mirrors = 0
+        for x in range(r):
+            if rev[x] == seq[0]:
+                turn = rev[x:] + rev[:x]
+                if turn < seq:
+                    break
+                mirrors += turn == seq
+        else:
+            yield seq, r // period + mirrors
+
+
+def iter_unicyclic_classes(
+    n: int, shard: tuple[int, int] | None = None
+) -> Iterator[tuple[int, tuple[str, ...], int, tuple[int, ...]]]:
+    """Each isomorphism class of unicyclic graphs on n vertices once, as
+    (cycle length r, class_key, |Aut|, unordered pair counts by distance
+    0..n-2).
+
+    A class is r rooted trees around a cycle, read as the sequence of their
+    AHU codes that is least among its rotations and reflections: exactly
+    ``class_key``.  Pairs inside a tree come with the tree; a pair across
+    trees i and j is a vertex at depth a and one at depth b, at distance
+    a + b + the cycle distance of i and j, so those counts are the product
+    of the two depth polynomials, shifted.  |Aut| is the product of the
+    trees' automorphism counts times the number of rotations and reflections
+    that fix the sequence.  Classes come by r, then in necklace order, and
+    shard (i, k) takes the classes i, i + k, i + 2k, ...  A bad n or shard
+    raises on the call.
+    """
+    check_n(n, MAX_CLASS_N, "class-engine")
+    if shard is not None and not (0 <= shard[0] < shard[1]):
+        raise ValueError(f"bad shard {shard[0]}/{shard[1]}")
+    return _classes(n, shard or (0, 1))
+
+
+def _classes(n: int, shard: tuple[int, int]):
+    trees = _rooted_trees(n - 2)  # the other r - 1 >= 2 trees hold a vertex each
+    by_size: list[list[int]] = [[] for _ in range(n - 1)]
+    for rank, t in enumerate(trees):
+        by_size[t.size].append(rank)
+    first, step = shard
+    index = -1
+    for r in range(3, n + 1):
+        for seq, aut in _bracelets(r, n, by_size):
+            index += 1
+            if index % step != first:
+                continue
+            pairs = 0
+            for j in seq:
+                aut *= trees[j].aut
+                pairs += trees[j].pairs
+            depths = [trees[j].depths for j in seq]
+            ring = depths * 2
+            for gap in range(1, r // 2 + 1):
+                span = gap if 2 * gap == r else r  # a half-way pair once, not twice
+                across = sum(map(operator.mul, depths[:span], ring[gap : gap + span]))
+                pairs += across << (_BITS * gap)
+            counts = tuple((pairs >> (_BITS * d)) & _COEF for d in range(n - 1))
+            yield r, tuple(trees[j].code for j in seq), aut, counts
+
+
 def enumerate_unicyclic_unlabeled(n: int) -> Iterator[Graph]:
-    """One representative per isomorphism class: the first labeled graph of
-    each class in stream order."""
-    stream = iter_unicyclic_edge_masks(n)  # refuses a bad n on the call
-
-    def firsts() -> Iterator[Graph]:
-        seen: set[tuple[str, ...]] = set()
-        for masks, _cyclen in stream:
-            key = class_key(n, masks)
-            if key not in seen:
-                seen.add(key)
-                yield graph_from_masks(n, masks)
-
-    return firsts()
+    """One graph per isomorphism class, in class-stream order: the
+    ``canonical_form`` representative of each class."""
+    classes = iter_unicyclic_classes(n)  # refuses a bad n on the call
+    return (graph_from_masks(n, representative_masks(key)) for _r, key, _aut, _c in classes)
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +511,7 @@ def scan_tree_path_property(
     unique strictly-nearest major vertex); a violation is recorded if no
     major collects two leaves.  Returned sequences should always be empty.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    check_n(n, lo=2)
     violations: list[tuple[int, ...]] = []
     trees = 0
     paths = 0

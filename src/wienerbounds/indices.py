@@ -55,6 +55,33 @@ def generalized_wiener(g: Graph, h: WeightFunction, name: str | None = None) -> 
     return index_from_distribution(distance_distribution(g), h, name)
 
 
+def _hyper_wiener(dist: DistanceDistribution) -> IndexValue:
+    value = sum(c * comb(d + 1, 2) for d, c in dist.counts.items())
+    return IndexValue(value, "exact", "hyper-wiener")
+
+
+def _tsz(dist: DistanceDistribution) -> IndexValue:
+    value = sum(c * comb(d + 2, 3) for d, c in dist.counts.items())
+    return IndexValue(value, "exact", "tsz")
+
+
+def named_indices(dist: DistanceDistribution, q: float | None = None) -> list[IndexValue]:
+    """Every named index of one distribution: Wiener, hyper-Wiener, Harary,
+    reciprocal Wiener and TSZ, then the three q-Wiener variants when q is given."""
+    rows = [
+        index_from_distribution(dist, PowerWeight(1), "wiener"),
+        _hyper_wiener(dist),
+        index_from_distribution(dist, PowerWeight(-2), "harary"),
+        index_from_distribution(dist, PowerWeight(-1), "reciprocal-wiener"),
+        _tsz(dist),
+    ]
+    if q is not None:
+        rows += [
+            index_from_distribution(dist, QWienerWeight(q, v), f"q-wiener-{v}") for v in (1, 2, 3)
+        ]
+    return rows
+
+
 def wiener(g: Graph) -> IndexValue:
     """Classic Wiener index: sum of all pairwise distances."""
     return generalized_wiener(g, PowerWeight(1), name="wiener")
@@ -62,9 +89,7 @@ def wiener(g: Graph) -> IndexValue:
 
 def hyper_wiener(g: Graph) -> IndexValue:
     """Hyper-Wiener index (W^1 + W^2) / 2 = sum C(d+1, 2), an exact integer."""
-    counts = distance_distribution(g).counts
-    value = sum(c * comb(d + 1, 2) for d, c in counts.items())
-    return IndexValue(value, "exact", "hyper-wiener")
+    return _hyper_wiener(distance_distribution(g))
 
 
 def harary(g: Graph) -> IndexValue:
@@ -85,6 +110,4 @@ def q_wiener(g: Graph, q: float, variant: int) -> IndexValue:
 def tsz_index(g: Graph) -> IndexValue:
     """Tratch-Stankevich-Zefirov index (2 W^1 + 3 W^2 + W^3) / 6 = sum C(d+2, 3),
     an exact integer."""
-    counts = distance_distribution(g).counts
-    value = sum(c * comb(d + 2, 3) for d, c in counts.items())
-    return IndexValue(value, "exact", "tsz")
+    return _tsz(distance_distribution(g))

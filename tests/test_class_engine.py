@@ -1,0 +1,162 @@
+"""The isomorphism-class engine against its second routes: the labeled scan,
+OEIS counts, and networkx on each class's representative."""
+
+import math
+import multiprocessing
+from collections import Counter
+from functools import lru_cache
+
+import networkx as nx
+import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
+
+from wienerbounds import enumeration
+from wienerbounds.enumeration import (
+    class_key,
+    graph_from_masks,
+    iter_unicyclic_classes,
+    iter_unicyclic_edge_masks,
+    representative_masks,
+)
+from wienerbounds.extremal import scan_classes, scan_extremes_parallel
+from wienerbounds.graphs import distance_distribution, find_cycle
+from wienerbounds.indices import generalized_wiener
+from wienerbounds.weights import PowerWeight, QWienerWeight, TableWeight
+
+import oracles
+
+JOBS = min(2, multiprocessing.cpu_count())
+
+# unicyclic classes (A001429) and labeled unicyclic graphs (A057500) on n vertices
+A001429 = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657, 11: 1806, 12: 5026}
+A057500 = {3: 1, 4: 15, 5: 222, 6: 3660, 7: 68295, 8: 1436568, 9: 33779340, 10: 880107840}
+A000081 = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]  # rooted trees on 1..10 vertices
+
+
+def weights(n):
+    # the last weight scores every graph n, so every class ties on both sides;
+    # it is (1.0, 0.0, 0.0, 0.0) padded with zeros to the n - 2 distances
+    return [
+        PowerWeight(1),
+        PowerWeight(2),
+        PowerWeight(-1),
+        QWienerWeight(0.5, 1),
+        TableWeight((1.0,) + (0.0,) * max(3, n - 3)),
+    ]
+
+
+@lru_cache(maxsize=None)
+def labeled_scan(n):
+    return scan_extremes_parallel(n, weights(n), JOBS)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_scan_classes_equals_the_labeled_oracle(n):
+    labeled, classes = labeled_scan(n), scan_classes(n, weights(n))
+    assert (classes.n, classes.graphs_scanned, classes.cycle_length_sum) == (
+        labeled.n,
+        labeled.graphs_scanned,
+        labeled.cycle_length_sum,
+    )
+    for a, b in zip(classes.per_weight, labeled.per_weight, strict=True):
+        assert (a.description, a.exact) == (b.description, b.exact)
+        for mine, oracle in ((a.lo, b.lo), (a.hi, b.hi)):
+            # the same fold order makes float extremes equal to the bit
+            assert type(mine.value) is type(oracle.value) and mine.value == oracle.value
+            assert mine.count == oracle.count
+            assert set(mine.classes) == set(oracle.classes)
+    ties = classes.per_weight[-1]
+    assert ties.lo.count == ties.hi.count == A057500[n]
+    assert len(ties.lo.classes) == len(ties.hi.classes) == A001429[n]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_examples_attain_the_reported_value(n):
+    for h, sc in zip(weights(n), scan_classes(n, weights(n)).per_weight):
+        for side in (sc.lo, sc.hi):
+            assert generalized_wiener(graph_from_masks(n, side.example), h).value == side.value
+            # each member is its class's representative, the example the smallest of them
+            assert side.classes == {key: representative_masks(key) for key in side.classes}
+            assert side.example == min(side.classes.values())
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_class_counts_match_A001429(n):
+    keys = [key for _r, key, _aut, _counts in iter_unicyclic_classes(n)]
+    assert len(keys) == len(set(keys)) == A001429[n]
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_orbit_sums_match_A057500_and_the_cycle_length_sum(n):
+    total = cyclen_sum = 0
+    for r, _key, aut, _counts in iter_unicyclic_classes(n):
+        total += math.factorial(n) // aut
+        cyclen_sum += r * math.factorial(n) // aut
+    assert total == A057500[n]
+    # each labeled graph is r (tree, chord) pairs, one per cycle edge
+    assert cyclen_sum == n ** (n - 2) * (n * (n - 1) // 2 - (n - 1))
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_each_class_is_its_orbit_in_the_labeled_stream(n):
+    orbit = Counter()
+    cyclen = {}
+    for masks, r in iter_unicyclic_edge_masks(n):
+        key = class_key(n, masks)
+        orbit[key] += 1
+        cyclen[key] = r
+    classes = list(iter_unicyclic_classes(n))
+    assert {key: math.factorial(n) // aut for _r, key, aut, _c in classes} == orbit
+    assert {key: r for r, key, _aut, _c in classes} == cyclen
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_each_class_against_networkx(n):
+    for r, key, aut, counts in iter_unicyclic_classes(n):
+        masks = representative_masks(key)
+        g = graph_from_masks(n, masks)
+        assert class_key(n, masks) == key
+        assert find_cycle(g).length == r
+        assert len(counts) == n - 1 and counts[0] == 0  # distances 0..n-2
+        assert {d: c for d, c in enumerate(counts) if c} == oracles.distance_counts(g)
+        ng = oracles.to_nx(g)
+        assert sum(1 for _ in GraphMatcher(ng, ng).isomorphisms_iter()) == aut
+
+
+def test_rooted_trees_match_A000081_and_their_codes():
+    trees = enumeration._rooted_trees(len(A000081))
+    assert Counter(t.size for t in trees) == dict(enumerate(A000081, start=1))
+    codes = [t.code for t in trees]
+    assert codes == sorted(set(codes))
+    bits, coef = enumeration._BITS, enumeration._COEF
+    for t in trees:
+        # a rooted tree's pairs add up to C(size, 2) and its depths to its size
+        assert sum((t.pairs >> (bits * d)) & coef for d in range(t.size)) == math.comb(t.size, 2)
+        assert sum((t.depths >> (bits * d)) & coef for d in range(t.size)) == t.size
+
+
+def test_shards_take_every_kth_class():
+    full = [key for _r, key, _aut, _c in iter_unicyclic_classes(8)]
+    for k in (1, 2, 3, 7):
+        for i in range(k):
+            shard = [key for _r, key, _aut, _c in iter_unicyclic_classes(8, (i, k))]
+            assert shard == full[i::k]
+
+
+@pytest.mark.parametrize("shard", [(3, 3), (-1, 2), (0, 0)])
+def test_bad_shard_refused_on_the_call(shard):
+    with pytest.raises(ValueError, match="bad shard"):
+        iter_unicyclic_classes(6, shard)
+
+
+def test_unlabeled_representatives_are_the_canonical_form_representatives():
+    reps = list(enumeration.enumerate_unicyclic_unlabeled(6))
+    assert len(reps) == 13
+    for g in reps:
+        blob = enumeration.canonical_form(g)
+        assert blob[0] == 6 and list(g.edges()) == list(zip(blob[1::2], blob[2::2]))
+    assert not any(
+        nx.is_isomorphic(oracles.to_nx(a), oracles.to_nx(b))
+        for i, a in enumerate(reps)
+        for b in reps[i + 1 :]
+    )

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from wienerbounds.cli import CLOSED_FORM_MAX_N, LEMMAS_MAX_NMAX, main
+from wienerbounds.cli import CLOSED_FORM_MAX_N, LEMMAS_MAX_NMAX, MAX_EXACT_EXPONENT, main
 from wienerbounds.families import tadpole, triangle_star
 from wienerbounds.graphs import MAX_VERTICES, format_edge_list, parse_edge_list
 
@@ -48,6 +48,24 @@ class TestCompute:
         assert rows["tsz"]["value"] == "92"
         assert rows["harary"]["mode"] == "float"
         assert set(rows) >= {"q-wiener-1", "q-wiener-2", "q-wiener-3"}
+
+    def test_all_named_builds_one_distribution(self, capsys, monkeypatch, g36_file):
+        from wienerbounds import cli, graphs, indices
+
+        calls = []
+        real = graphs.distance_distribution
+
+        def counted(g):
+            calls.append(g.n)
+            return real(g)
+
+        for module in (graphs, indices, cli):
+            monkeypatch.setattr(module, "distance_distribution", counted)
+        code, out, _ = run(
+            capsys, "compute", "--graph", g36_file, "--weight", "power:2", "--all-named", "--q", "0.5"
+        )
+        assert code == 0 and len(json.loads(out)) == 9
+        assert calls == [6]
 
     def test_exact_values_roundtrip_through_json(self, capsys, g36_file):
         _, out, _ = run(capsys, "compute", "--graph", g36_file, "--weight", "power:3")
@@ -177,6 +195,62 @@ class TestClosedForm:
         assert json.loads(out)[0]["value"] == str((CLOSED_FORM_MAX_N**3 - CLOSED_FORM_MAX_N) // 6)
 
 
+class Reached(Exception):
+    """Raised by a patched summation to show that a command got that far."""
+
+
+def forbid_terms(monkeypatch, exc=AssertionError):
+    """Make every closed-form sum, dominance sweep and power-weight term raise ``exc``."""
+    from wienerbounds import closed_forms, extremal
+    from wienerbounds.weights import PowerWeight
+
+    def no_terms(*args, **kwargs):
+        raise exc("a closed-form term was evaluated")
+
+    monkeypatch.setattr(closed_forms, "_sum", no_terms)
+    monkeypatch.setattr(extremal, "check_f3_dominance", no_terms)
+    monkeypatch.setattr(PowerWeight, "__call__", no_terms)
+
+
+class TestExactExponent:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["closed-form", "--formula", "path", "--n", "10"],
+            ["closed-form", "--formula", "cycle", "--n", "10"],
+            ["closed-form", "--formula", "jn", "--n", "10"],
+            ["closed-form", "--formula", "F", "--r", "3", "--n", "10"],
+            ["lemmas", "--nmax", "10"],
+        ],
+    )
+    def test_above_the_limit_rejected_before_any_term(self, capsys, monkeypatch, argv):
+        forbid_terms(monkeypatch)
+        weight = f"power:{MAX_EXACT_EXPONENT + 1}"
+        code, out, err = run(capsys, *argv, "--weight", weight)
+        assert code == 2 and out == ""
+        assert weight in err and f"limit {MAX_EXACT_EXPONENT}" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["closed-form", "--formula", "F", "--r", "3", "--n", "10"], ["lemmas", "--nmax", "10"]]
+    )
+    def test_at_the_limit_reaches_the_sum(self, monkeypatch, argv):
+        forbid_terms(monkeypatch, Reached)
+        with pytest.raises(Reached):
+            main([*argv, "--weight", f"power:{MAX_EXACT_EXPONENT}"])
+
+    def test_at_the_limit_evaluates_exactly(self, capsys):
+        weight = f"power:{MAX_EXACT_EXPONENT}"
+        code, out, _ = run(capsys, "closed-form", "--formula", "path", "--n", "5", "--weight", weight)
+        assert code == 0
+        want = sum((5 - k) * k**MAX_EXACT_EXPONENT for k in range(1, 5))
+        assert json.loads(out)[0]["value"] == str(want)
+
+    @pytest.mark.parametrize("weight", ["power:-60", "power:60.0"])
+    def test_float_exponents_are_not_bounded(self, capsys, weight):
+        code, out, _ = run(capsys, "closed-form", "--formula", "cycle", "--n", "5", "--weight", weight)
+        assert code == 0 and json.loads(out)[0]["mode"] == "float"
+
+
 class TestEnumerate:
     def test_count_only(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--n", "5", "--count-only")
@@ -220,6 +294,24 @@ class TestEnumerate:
         code, out, _ = run(capsys, "--format", fmt, "enumerate", "--n", "5", "--count-only")
         assert code == 0 and out == expected
 
+    def test_unlabeled_count_past_the_labeled_cap(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--unlabeled", "--n", "12", "--count-only")
+        assert code == 0 and json.loads(out)["unlabeled_count"] == 5026  # OEIS A001429
+
+    @pytest.mark.parametrize("count_only", [[], ["--count-only"]])
+    def test_unlabeled_above_the_class_engine_cap_rejected_before_any_tree(
+        self, capsys, monkeypatch, count_only
+    ):
+        from wienerbounds import enumeration
+
+        def no_trees(*args, **kwargs):
+            raise AssertionError("a rooted-tree table was built")
+
+        monkeypatch.setattr(enumeration, "_rooted_trees", no_trees)
+        code, out, err = run(capsys, "enumerate", "--unlabeled", "--n", "17", *count_only)
+        assert code == 2 and out == ""
+        assert "n=17 exceeds the class-engine cap 16" in err
+
     def test_stream_json_lines(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--n", "4")
         lines = out.strip().splitlines()
@@ -257,6 +349,28 @@ class TestVerify:
         assert payload["all_ok"] is True
         assert payload["argmin_count"] == 60
         assert payload["argmax_count"] == 360
+
+    def test_class_engine_verifies_past_the_labeled_cap(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "10", "--weight", "power:1")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["all_ok"] is True
+        assert payload["graphs_scanned"] == 880_107_840  # OEIS A057500
+        assert payload["cycle_length_sum"] == 10**8 * (45 - 9)
+        assert payload["argmin_count"] == 3_628_800 // (2 * 5040)  # 10!/|Aut(J_10)|
+        assert payload["argmax_count"] == 3_628_800 // 2  # 10!/|Aut(F_3,10)|
+
+    def test_shard_keeps_the_labeled_cap(self, capsys, monkeypatch):
+        from wienerbounds import extremal
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a weight table was requested")
+
+        monkeypatch.setattr(extremal, "_weight_tables", forbidden)
+        argv = ["verify", "--n", "10", "--weight", "power:1", "--shard", "0/2"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "n=10 exceeds the enumeration cap 9" in err
 
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run(capsys, "verify", "--n", "6", "--weight", "power:2")
@@ -320,7 +434,7 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "n, message",
-        [("10", "n=10 exceeds the enumeration cap 9"), ("22", "n=22 exceeds"), ("2", "n >= 3")],
+        [("17", "n=17 exceeds the class-engine cap 16"), ("22", "n=22 exceeds"), ("2", "n >= 3")],
     )
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_n_outside_the_scan_range_rejected_before_any_table_or_worker(
@@ -328,13 +442,14 @@ class TestVerify:
     ):
         import multiprocessing
 
-        from wienerbounds import extremal
+        from wienerbounds import enumeration, extremal
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a weight table or a process context was requested")
 
         monkeypatch.setattr(multiprocessing, "get_context", forbidden)
         monkeypatch.setattr(extremal, "_weight_tables", forbidden)
+        monkeypatch.setattr(enumeration, "_rooted_trees", forbidden)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         code, out, err = run(capsys, "verify", "--n", n, "--weight", "power:1", "--jobs", jobs)
         assert code == 2 and out == ""
@@ -362,6 +477,7 @@ class TestVerify:
 
         monkeypatch.setattr(multiprocessing, "get_context", forbidden)
         monkeypatch.setattr(extremal, "scan_extremes", forbidden)
+        monkeypatch.setattr(extremal, "scan_classes", forbidden)
         code, out, err = run(capsys, "verify", "--n", "7", "--weight", weight, *flags)
         assert code == 2 and out == ""
         assert message in err

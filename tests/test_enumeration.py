@@ -115,14 +115,24 @@ class TestLabeledEnumeration:
             next(iter(enumerate_unicyclic_labeled(2)))
 
     @pytest.mark.parametrize("n", [2, 10, 22])
-    @pytest.mark.parametrize(
-        "entry",
-        [iter_unicyclic_edge_masks, enumerate_unicyclic_labeled, enumerate_unicyclic_unlabeled],
-    )
+    @pytest.mark.parametrize("entry", [iter_unicyclic_edge_masks, enumerate_unicyclic_labeled])
     def test_bad_n_refused_on_the_call_not_on_the_first_next(self, entry, n):
         message = "n >= 3" if n < 3 else f"n={n} exceeds the enumeration cap 9"
         with pytest.raises(ValueError, match=message):
             entry(n)
+
+    @pytest.mark.parametrize("n", [2, 17, 22])
+    @pytest.mark.parametrize(
+        "entry", [enumeration.iter_unicyclic_classes, enumerate_unicyclic_unlabeled]
+    )
+    def test_class_engine_refuses_bad_n_on_the_call(self, monkeypatch, entry, n):
+        def no_trees(*args, **kwargs):
+            raise AssertionError("a rooted tree was built")
+
+        monkeypatch.setattr(enumeration, "_rooted_trees", no_trees)
+        message = "n >= 3" if n < 3 else f"n={n} exceeds the class-engine cap 16"
+        with pytest.raises(ValueError, match=message):
+            entry(n)  # the call alone, never iterated
 
     def test_bad_shard_refused_on_the_call(self):
         with pytest.raises(ValueError, match="bad shard"):
@@ -273,3 +283,12 @@ class TestTreeScan:
     def test_merge_rejects_mixed_n(self):
         with pytest.raises(ValueError):
             TreeScan(4, 1, 1, ()).merged(TreeScan(5, 1, 1, ()))
+
+    @pytest.mark.parametrize("n", [10, 22])
+    def test_keeps_the_labeled_cap(self, monkeypatch, n):
+        def no_sequences(*args, **kwargs):
+            raise AssertionError("a Prufer sequence was generated")
+
+        monkeypatch.setattr(enumeration, "_prufer_sequences", no_sequences)
+        with pytest.raises(EnumerationCapError, match=f"n={n} exceeds the enumeration cap 9"):
+            scan_tree_path_property(n)

@@ -116,15 +116,56 @@ class TestVerifyTheorem:
             lambda: scan_extremes(n, [h]),
             lambda: scan_extremes(n, [h], (0, 2)),
             lambda: extremal.scan_extremes_parallel(n, [h], 2),
-            lambda: verify_theorem_many(n, [h], jobs=2),
         ):
             with pytest.raises(ValueError, match="n >= 3" if n < 3 else "enumeration cap 9"):
                 call()
 
-    def test_parallel_matches_serial(self):
+    @pytest.mark.parametrize("n", [2, 17, 22])
+    def test_class_engine_refuses_bad_n_before_any_table_or_worker(self, monkeypatch, n):
+        import multiprocessing
+
+        from wienerbounds import enumeration
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a table, a tree or a process context was requested")
+
+        monkeypatch.setattr(extremal, "_weight_tables", forbidden)
+        monkeypatch.setattr(enumeration, "_rooted_trees", forbidden)
+        monkeypatch.setattr(multiprocessing, "get_context", forbidden)
+        h = PowerWeight(1)
+        for call in (
+            lambda: extremal.scan_classes(n, [h]),
+            lambda: extremal.scan_classes(n, [h], (0, 2)),
+            lambda: verify_theorem_many(n, [h], jobs=2),
+            lambda: verify_theorem_many(n, [h], jobs=1),
+        ):
+            with pytest.raises(ValueError, match="n >= 3" if n < 3 else "class-engine cap 16"):
+                call()
+
+    def test_parallel_matches_serial(self, monkeypatch):
         serial = verify_theorem(6, PowerWeight(1), jobs=1)
+        monkeypatch.setattr(extremal, "CLASS_FANOUT_MIN_N", 6)  # fan n = 6 out
         parallel = verify_theorem(6, PowerWeight(1), jobs=2)
         assert serial == parallel
+
+    def test_class_scan_forks_workers_only_from_the_fan_out_n(self, monkeypatch):
+        import multiprocessing
+
+        contexts = []
+        real = multiprocessing.get_context
+
+        def counted(method):
+            contexts.append(method)
+            return real(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", counted)
+        monkeypatch.setattr(extremal, "CLASS_FANOUT_MIN_N", 6)
+        verify_theorem(5, PowerWeight(1), jobs=2)
+        assert contexts == []  # below the fan-out n: in process
+        verify_theorem(6, PowerWeight(1), jobs=2)
+        assert contexts == ["fork"]
+        verify_theorem(6, PowerWeight(1), jobs=1)
+        assert contexts == ["fork"]
 
     def test_scan_extremes_against_per_pair_oracle(self):
         # recompute every n=5 value with networkx per-pair BFS and compare
