@@ -38,7 +38,7 @@ CLOSED_FORM_MAX_N = 4000
 LEMMAS_MAX_NMAX = 100
 # An exact power:E term is an integer of about E log2(n) bits.  At both
 # limits above, power:50 takes under twice as long as power:1, and power:100
-# over three times as long.
+# over three times as long.  Every subcommand that takes a weight holds to it.
 MAX_EXACT_EXPONENT = 50
 
 
@@ -78,9 +78,9 @@ def _load_graph(path: str) -> Graph:
         raise GraphError(f"cannot read {path}: {exc}") from exc
 
 
-def _closed_form_weight(spec: str):
-    """The weight of a closed-form sum, refusing an exact exponent above
-    MAX_EXACT_EXPONENT before any term is evaluated."""
+def _parse_weight(spec: str):
+    """The weight of ``spec``, refusing an exact exponent above
+    MAX_EXACT_EXPONENT before any term, scan or distance is computed."""
     h = parse_weight_spec(spec)
     if isinstance(h, PowerWeight) and h.exact and h.exponent > MAX_EXACT_EXPONENT:
         raise ValueError(
@@ -92,17 +92,14 @@ def _closed_form_weight(spec: str):
 def _parse_shard(text: str) -> tuple[int, int]:
     try:
         i, k = text.split("/")
-        shard = (int(i), int(k))
+        return int(i), int(k)
     except ValueError:
         raise ValueError(f"bad shard spec {text!r}, expected i/k") from None
-    if not (0 <= shard[0] < shard[1]):
-        raise ValueError(f"bad shard spec {text!r}: need 0 <= i < k")
-    return shard
 
 
 def _cmd_compute(args) -> int:
     g = _load_graph(args.graph)
-    h = parse_weight_spec(args.weight) if args.weight else None
+    h = _parse_weight(args.weight) if args.weight else None
     if h is None and not args.all_named:
         raise ValueError("nothing to compute: pass --weight and/or --all-named")
     dist = distance_distribution(g)  # one distribution serves every row
@@ -138,7 +135,7 @@ def _cmd_construct(args) -> int:
 def _cmd_closed_form(args) -> int:
     if args.n > CLOSED_FORM_MAX_N:
         raise ValueError(f"--n {args.n} exceeds the closed-form limit {CLOSED_FORM_MAX_N}")
-    h = _closed_form_weight(args.weight)
+    h = _parse_weight(args.weight)
     if args.formula == "path":
         iv = path_closed_form(args.n, h)
     elif args.formula == "cycle":
@@ -233,14 +230,13 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--jobs {jobs} exceeds the {cpus} CPUs of this machine")
     if not tol >= 0:  # also refuses nan
         raise ValueError(f"--tol {tol}: a tolerance cannot be negative")
-    h = parse_weight_spec(args.weight)
+    h = _parse_weight(args.weight)
     if isinstance(h, QWienerWeight) and h.variant == 2 and h.diameter is None:
         raise WeightError(
             "verification needs a fixed weight function; use q2:Q:L with an explicit diameter"
         )
     if args.shard:
-        shard = _parse_shard(args.shard)
-        summary = extremal.scan_extremes(args.n, [h], shard=shard)
+        summary = extremal.scan_classes(args.n, [h], _parse_shard(args.shard))
         sc = summary.per_weight[0]
         mode = "exact" if h.exact else "float"
         payload = {
@@ -271,7 +267,7 @@ def _cmd_verify(args) -> int:
 def _cmd_lemmas(args) -> int:
     if args.nmax > LEMMAS_MAX_NMAX:
         raise ValueError(f"--nmax {args.nmax} exceeds the sweep limit {LEMMAS_MAX_NMAX}")
-    h = _closed_form_weight(args.weight)
+    h = _parse_weight(args.weight)
     results = extremal.check_f3_dominance(args.nmax, h)
     violations = [(r, n) for r, n, ok in results if not ok]
     payload = {
@@ -292,7 +288,7 @@ def _cmd_search(args) -> int:
     if args.format != "json":
         raise ValueError(f"search nests its moves, so it prints only json, not {args.format}")
     g = _load_graph(args.graph)
-    h = parse_weight_spec(args.weight)
+    h = _parse_weight(args.weight)
     moves: list[dict] = []
 
     def on_move(move, before, after):
@@ -363,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--weight", required=True)
     p.add_argument(
-        "--shard", help="emit a mergeable partial labeled scan of Prufer ranks == i mod k, as i/k"
+        "--shard", help="emit a mergeable partial scan of the classes with index == i mod k, as i/k"
     )
     p.add_argument("--jobs", type=int, help="worker processes for the scan (default 1)")
     p.add_argument("--tol", type=float, help="relative tolerance for float weights (default 1e-9)")

@@ -52,6 +52,12 @@ def check_n(n: int, cap: int = MAX_SCAN_N, engine: str = "enumeration", lo: int 
         raise EnumerationCapError(f"n={n} exceeds the {engine} cap {cap}")
 
 
+def check_shard(shard: tuple[int, int] | None) -> None:
+    """Refuse a shard (i, k) outside 0 <= i < k; every sharded stream checks it on the call."""
+    if shard is not None and not 0 <= shard[0] < shard[1]:
+        raise ValueError(f"bad shard {shard[0]}/{shard[1]}: need 0 <= i < k")
+
+
 def _decode_prufer(seq: Sequence[int], n: int) -> tuple[list[int], list[int]]:
     """Linear-time Prufer decode of a labeled tree on n vertices.
 
@@ -100,13 +106,9 @@ def _prufer_sequences(n: int, shard: tuple[int, int] | None) -> Iterator[tuple[i
     product() is lexicographic, which is rank order, so shard (i, k) is the
     stride-k slice starting at rank i.
     """
-    seqs = itertools.product(range(n), repeat=n - 2)
-    if shard is None:
-        return seqs
-    i, k = shard
-    if not (0 <= i < k):
-        raise ValueError(f"bad shard {i}/{k}")
-    return itertools.islice(seqs, i, None, k)
+    check_shard(shard)
+    i, k = shard or (0, 1)
+    return itertools.islice(itertools.product(range(n), repeat=n - 2), i, None, k)
 
 
 def iter_unicyclic_edge_masks(
@@ -437,8 +439,7 @@ def iter_unicyclic_classes(
     raises on the call.
     """
     check_n(n, MAX_CLASS_N, "class-engine")
-    if shard is not None and not (0 <= shard[0] < shard[1]):
-        raise ValueError(f"bad shard {shard[0]}/{shard[1]}")
+    check_shard(shard)
     return _classes(n, shard or (0, 1))
 
 

@@ -6,10 +6,10 @@ weighted Wiener index over all unicyclic graphs with n >= 6 vertices
 (which one is min and which is max depends on the direction of
 monotonicity), each attained by exactly one isomorphism class.  This
 module checks those claims by scanning every isomorphism class once, each
-standing for its n!/|Aut| labeled copies, with the scan over every labeled
-graph kept as the oracle and for partial shards.  It also sweeps the
-closed-form dominance comparisons and implements the branch-relocation
-moves that drive a maximizing local search.
+standing for its n!/|Aut| labeled copies, whole or by shards, with the scan
+over every labeled graph kept as the oracle that gives an equal summary.
+It also sweeps the closed-form dominance comparisons and implements the
+branch-relocation moves that drive a maximizing local search.
 """
 
 from __future__ import annotations
@@ -59,39 +59,40 @@ class ProofMoveError(ValueError):
 
 @dataclass
 class Extreme:
-    """One side of a scan: the extreme value so far and the graphs attaining it.
+    """One side of a scan: the extreme value so far, the ``class_key`` of each
+    attaining isomorphism class, and the number of attaining labeled graphs.
 
     ``better(a, b)`` is true when value a beats value b: operator.lt on the
-    min side, operator.gt on the max side.  No field depends on the sharding.
-    A member is a graph's adjacency bitmasks: the smallest labeled graph of
-    its class in the labeled scan, the class representative in the class scan.
+    min side, operator.gt on the max side.  A tie is a set union, so no field
+    depends on the sharding, and the labeled and class scans give equal sides.
     """
 
     better: Callable[[object, object], bool]
     value: object = None
-    classes: dict = field(default_factory=dict)  # class_key -> smallest attaining member
-    count: int = 0  # every attaining labeled graph
-    example: tuple | None = None  # lexicographically smallest attaining member
+    classes: set = field(default_factory=set)
+    count: int = 0
 
-    def offer(self, value, classes: dict, count: int, example: tuple) -> None:
-        """Fold in ``count`` graphs of one value: ``classes`` maps the class
-        key of each of them to its smallest member, ``example`` is the smallest."""
+    @property
+    def example(self) -> tuple[int, ...] | None:
+        """The smallest adjacency bitmasks among the attaining classes'
+        ``canonical_form`` representatives (None on an empty side)."""
+        return min(map(representative_masks, self.classes), default=None)
+
+    def offer(self, value, classes: set, count: int) -> None:
+        """Fold in ``count`` labeled graphs of one value, of the classes keyed ``classes``."""
         current = self.value
         if current is None or self.better(value, current):
             self.value = value
-            self.classes = dict(classes)
+            self.classes = set(classes)
             self.count = count
-            self.example = example
         elif value == current:
-            for key, masks in classes.items():
-                self.classes[key] = min(masks, self.classes.get(key, masks))
+            self.classes |= classes
             self.count += count
-            self.example = min(self.example, example)
 
     def merged(self, other: "Extreme") -> "Extreme":
-        out = Extreme(self.better, self.value, dict(self.classes), self.count, self.example)
+        out = Extreme(self.better, self.value, set(self.classes), self.count)
         if other.count:
-            out.offer(other.value, other.classes, other.count, other.example)
+            out.offer(other.value, other.classes, other.count)
         return out
 
 
@@ -100,25 +101,22 @@ class WeightScan:
     """Per-weight aggregate of one exhaustive scan (mergeable across shards)."""
 
     description: str
-    exact: bool
     lo: Extreme = field(default_factory=lambda: Extreme(operator.lt))
     hi: Extreme = field(default_factory=lambda: Extreme(operator.gt))
 
     # the flat names that scan callers read
     min_value = property(lambda self: self.lo.value)
     max_value = property(lambda self: self.hi.value)
-    # one attaining member per class (see Extreme)
-    argmin_masks = property(lambda self: list(self.lo.classes.values()))
-    argmax_masks = property(lambda self: list(self.hi.classes.values()))
+    # the representative of each attaining class, in class-key order
+    argmin_masks = property(lambda self: list(map(representative_masks, sorted(self.lo.classes))))
+    argmax_masks = property(lambda self: list(map(representative_masks, sorted(self.hi.classes))))
     argmin_count = property(lambda self: self.lo.count)
     argmax_count = property(lambda self: self.hi.count)
 
     def merged(self, other: "WeightScan") -> "WeightScan":
         if other.description != self.description:
             raise ValueError("cannot merge scans of different weights")
-        return WeightScan(
-            self.description, self.exact, self.lo.merged(other.lo), self.hi.merged(other.hi)
-        )
+        return WeightScan(self.description, self.lo.merged(other.lo), self.hi.merged(other.hi))
 
 
 @dataclass
@@ -146,12 +144,12 @@ def _weight_tables(n: int, weights: Sequence[WeightFunction]) -> list[list]:
     return [[0] + [h(k) for k in range(1, n - 1)] for h in weights]
 
 
-def _offer(tables: list, scans: list[WeightScan], counts, copies: int, member) -> None:
+def _offer(tables: list, scans: list[WeightScan], counts, copies: int, key) -> None:
     """Fold each weight over the unordered pair counts in the order d = 1,
     2, ..., the one rule both scans share so that their float values agree
     to the bit, and offer the value to both sides of its scan for ``copies``
-    labeled graphs.  ``member()`` gives (class key, member); it is called
-    only when a side ties or beats its running extreme, and at most once."""
+    labeled graphs.  ``key()`` gives the class key; it is called only when
+    a side ties or beats its running extreme, and at most once."""
     found = None
     for tab, sc in zip(tables, scans):
         val = 0
@@ -161,8 +159,8 @@ def _offer(tables: list, scans: list[WeightScan], counts, copies: int, member) -
                 val += c * tab[d]
         for side in (sc.lo, sc.hi):
             if side.value is None or not side.better(side.value, val):
-                found = found or member()
-                side.offer(val, {found[0]: found[1]}, copies, found[1])
+                found = found or {key()}
+                side.offer(val, found, copies)
 
 
 def scan_extremes(
@@ -172,15 +170,16 @@ def scan_extremes(
 ) -> ScanSummary:
     """Scan every labeled unicyclic graph on n vertices, tracking min/max of
     each weighted index and the classes of the attaining labeled graphs (a
-    graph is keyed only when its value ties or beats a running extreme)."""
-    check_n(n)
+    graph is keyed only when its value ties or beats a running extreme).
+    This is the labeled oracle: its summary equals ``scan_classes``'s."""
+    stream = iter_unicyclic_edge_masks(n, shard)  # refuses a bad n or shard on the call
     tables = _weight_tables(n, weights)
-    scans = [WeightScan(h.description, h.exact) for h in weights]
+    scans = [WeightScan(h.description) for h in weights]
     graphs = 0
     cyclen_sum = 0
     counts = [0] * n
     popcount = [bin(i).count("1") for i in range(1 << n)]
-    for masks, cyclen in iter_unicyclic_edge_masks(n, shard):
+    for masks, cyclen in stream:
         graphs += 1
         cyclen_sum += cyclen
         for d in range(n):
@@ -202,7 +201,7 @@ def scan_extremes(
                 d += 1
                 counts[d] += popcount[m & above]
                 frontier = m
-        _offer(tables, scans, counts, 1, lambda: (class_key(n, masks), masks))
+        _offer(tables, scans, counts, 1, lambda: class_key(n, masks))
     return ScanSummary(n, graphs, cyclen_sum, scans)
 
 
@@ -213,12 +212,12 @@ def scan_classes(
 ) -> ScanSummary:
     """The ``scan_extremes`` summary from one pass over the isomorphism
     classes: each class is offered once, counting for its n!/|Aut| labeled
-    copies, with its ``canonical_form`` representative as its member.  The
-    weight is folded over d = 1, 2, ... as ``scan_extremes`` folds it, so
-    float extremes are the same to the bit."""
+    copies.  The weight is folded over d = 1, 2, ... as ``scan_extremes``
+    folds it, so float extremes are the same to the bit.  Shard (i, k) takes
+    the classes i, i + k, i + 2k, ... of the class stream."""
     classes = iter_unicyclic_classes(n, shard)  # refuses a bad n or shard on the call
     tables = _weight_tables(n, weights)
-    scans = [WeightScan(h.description, h.exact) for h in weights]
+    scans = [WeightScan(h.description) for h in weights]
     orbit = math.factorial(n)
     graphs = 0
     cyclen_sum = 0
@@ -226,7 +225,7 @@ def scan_classes(
         copies = orbit // aut
         graphs += copies
         cyclen_sum += r * copies
-        _offer(tables, scans, counts, copies, lambda: (key, representative_masks(key)))
+        _offer(tables, scans, counts, copies, lambda: key)
     return ScanSummary(n, graphs, cyclen_sum, scans)
 
 
@@ -251,7 +250,7 @@ def _fan_out(scan, n: int, weights: Sequence[WeightFunction], jobs: int) -> Scan
 def scan_extremes_parallel(
     n: int, weights: Sequence[WeightFunction], jobs: int
 ) -> ScanSummary:
-    """Shard the labeled scan across worker processes and merge the partial results."""
+    """The labeled oracle ``scan_extremes``, fanned out over worker processes."""
     check_n(n)
     return _fan_out(scan_extremes, n, weights, jobs)
 
@@ -310,9 +309,9 @@ def _attained_by_class_only(n: int, side: Extreme, expected: Graph, aut: int) ->
     The class keys say that ``expected`` is the only attaining class; the
     orbit count n!/aut, kept apart from the keys, checks it by a second route.
     """
-    return side.count == math.factorial(n) // aut and list(side.classes) == [
+    return side.count == math.factorial(n) // aut and side.classes == {
         class_key(n, expected.adjacency_masks())
-    ]
+    }
 
 
 def verify_theorem_many(
@@ -341,8 +340,8 @@ def verify_theorem_many(
         min_iv = IndexValue(sc.min_value, mode, f"min[{h.description}]")
         max_iv = IndexValue(sc.max_value, mode, f"max[{h.description}]")
         argmin_forms, argmax_forms = (  # one canonical form per attaining class
-            tuple(sorted(canonical_form(graph_from_masks(n, m)) for m in side.classes.values()))
-            for side in (sc.lo, sc.hi)
+            tuple(sorted(canonical_form(graph_from_masks(n, m)) for m in masks))
+            for masks in (sc.argmin_masks, sc.argmax_masks)
         )
         applicable = n >= 6
         kwargs: dict = {}

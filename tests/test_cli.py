@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -200,16 +201,29 @@ class Reached(Exception):
 
 
 def forbid_terms(monkeypatch, exc=AssertionError):
-    """Make every closed-form sum, dominance sweep and power-weight term raise ``exc``."""
-    from wienerbounds import closed_forms, extremal
+    """Make every closed-form sum, dominance sweep, class scan, BFS and
+    power-weight term raise ``exc``."""
+    from wienerbounds import closed_forms, extremal, graphs
     from wienerbounds.weights import PowerWeight
 
     def no_terms(*args, **kwargs):
-        raise exc("a closed-form term was evaluated")
+        raise exc("a term, a scan or a distance was evaluated")
 
     monkeypatch.setattr(closed_forms, "_sum", no_terms)
     monkeypatch.setattr(extremal, "check_f3_dominance", no_terms)
+    monkeypatch.setattr(extremal, "scan_classes", no_terms)
+    monkeypatch.setattr(graphs, "bfs_distances", no_terms)
     monkeypatch.setattr(PowerWeight, "__call__", no_terms)
+
+
+TADPOLE_3_6 = str(Path(__file__).parent / "golden" / "tadpole_3_6.txt")
+WEIGHTED_COMMANDS = [
+    ["closed-form", "--formula", "F", "--r", "3", "--n", "10"],
+    ["lemmas", "--nmax", "10"],
+    ["verify", "--n", "6"],
+    ["compute", "--graph", TADPOLE_3_6],
+    ["search", "--graph", TADPOLE_3_6],
+]
 
 
 class TestExactExponent:
@@ -219,8 +233,8 @@ class TestExactExponent:
             ["closed-form", "--formula", "path", "--n", "10"],
             ["closed-form", "--formula", "cycle", "--n", "10"],
             ["closed-form", "--formula", "jn", "--n", "10"],
-            ["closed-form", "--formula", "F", "--r", "3", "--n", "10"],
-            ["lemmas", "--nmax", "10"],
+            ["verify", "--n", "6", "--shard", "0/2"],
+            *WEIGHTED_COMMANDS,
         ],
     )
     def test_above_the_limit_rejected_before_any_term(self, capsys, monkeypatch, argv):
@@ -230,9 +244,7 @@ class TestExactExponent:
         assert code == 2 and out == ""
         assert weight in err and f"limit {MAX_EXACT_EXPONENT}" in err
 
-    @pytest.mark.parametrize(
-        "argv", [["closed-form", "--formula", "F", "--r", "3", "--n", "10"], ["lemmas", "--nmax", "10"]]
-    )
+    @pytest.mark.parametrize("argv", WEIGHTED_COMMANDS)
     def test_at_the_limit_reaches_the_sum(self, monkeypatch, argv):
         forbid_terms(monkeypatch, Reached)
         with pytest.raises(Reached):
@@ -360,17 +372,48 @@ class TestVerify:
         assert payload["argmin_count"] == 3_628_800 // (2 * 5040)  # 10!/|Aut(J_10)|
         assert payload["argmax_count"] == 3_628_800 // 2  # 10!/|Aut(F_3,10)|
 
-    def test_shard_keeps_the_labeled_cap(self, capsys, monkeypatch):
+    def test_shard_takes_the_class_engine_cap(self, capsys, monkeypatch):
         from wienerbounds import extremal
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a weight table was requested")
 
         monkeypatch.setattr(extremal, "_weight_tables", forbidden)
-        argv = ["verify", "--n", "10", "--weight", "power:1", "--shard", "0/2"]
+        argv = ["verify", "--n", "17", "--weight", "power:1", "--shard", "0/2"]
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
-        assert "n=10 exceeds the enumeration cap 9" in err
+        assert "n=17 exceeds the class-engine cap 16" in err
+
+    @pytest.mark.parametrize("n, k", [(6, 2), (6, 3), (14, 3)])
+    def test_shards_add_up_to_the_full_report(self, capsys, n, k):
+        argv = ["verify", "--n", str(n), "--weight", "power:1"]
+        _, out, _ = run(capsys, *argv)
+        full = json.loads(out)
+        parts = []
+        for i in range(k):
+            code, out, _ = run(capsys, *argv, "--shard", f"{i}/{k}")
+            assert code == 0
+            parts.append(json.loads(out))
+        for key in ("graphs_scanned", "cycle_length_sum"):
+            assert sum(p[key] for p in parts) == full[key]
+        for side, pick in (("min", min), ("max", max)):
+            value = str(pick(int(p[f"{side}_value"]) for p in parts))
+            assert value == full[f"{side}_value"]
+            holders = [p for p in parts if p[f"{side}_value"] == value]
+            assert sum(p[f"arg{side}_count"] for p in holders) == full[f"arg{side}_count"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--n", "6", "--weight", "power:1", "--shard", "3/3"],
+            ["verify", "--n", "6", "--weight", "power:1", "--shard", "0/0"],
+            ["enumerate", "--n", "5", "--count-only", "--shard", "4/4"],
+        ],
+    )
+    def test_bad_shard_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "bad shard" in err and "0 <= i < k" in err
 
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run(capsys, "verify", "--n", "6", "--weight", "power:2")
@@ -508,7 +551,7 @@ class TestVerify:
         def forbidden(*args, **kwargs):
             raise AssertionError("a scan was started")
 
-        monkeypatch.setattr(extremal, "scan_extremes", forbidden)
+        monkeypatch.setattr(extremal, "scan_classes", forbidden)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         argv = ["verify", "--n", "6", "--weight", "power:1", "--shard", "0/2", *flags]
         code, out, err = run(capsys, *argv)
@@ -517,7 +560,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("weight", ["power:1", "power:-1"])
     def test_empty_shard_has_null_extremes(self, capsys, weight):
-        # 4^2 = 16 Prufer ranks, so shard 50/100 holds none of them
+        # n = 4 has 2 classes, so shard 50/100 holds none of them
         code, out, _ = run(
             capsys, "verify", "--n", "4", "--weight", weight, "--shard", "50/100"
         )

@@ -180,13 +180,10 @@ class TestVerifyTheorem:
         sc = scan_extremes(5, [PowerWeight(1)]).per_weight[0]
         assert (sc.min_value, sc.max_value) == (lo, hi)
         for side, extreme in ((sc.lo, lo), (sc.hi, hi)):
-            attaining = sorted(m for m, v in values.items() if v == extreme)
-            smallest = {}
-            for masks in attaining:
-                smallest.setdefault(class_key(5, masks), masks)
+            attaining = [m for m, v in values.items() if v == extreme]
             assert side.count == len(attaining)
-            assert side.example == attaining[0]
-            assert side.classes == smallest
+            assert side.classes == {class_key(5, masks) for masks in attaining}
+            assert class_key(5, side.example) in side.classes
 
     def test_shard_merge_matches_full(self):
         h = PowerWeight(1)
