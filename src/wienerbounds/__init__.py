@@ -36,7 +36,6 @@ from .graphs import (
     GraphError,
     MajorVertexReport,
     bfs_distances,
-    diameter,
     distance_distribution,
     find_cycle,
     format_edge_list,

@@ -181,22 +181,44 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _report_payload(report: extremal.VerificationReport) -> dict:
+def _report_payload(report: extremal.VerificationReport, fmt: str) -> dict:
+    """The verify record: a shard's partial scan, or a whole scan and its claims."""
+    summary, sc = report.summary, report.scan
+    lo, hi = report.min_value, report.max_value
+    head = {"n": summary.n, "weight": report.weight.description}
+    totals = {
+        "graphs_scanned": summary.graphs_scanned,
+        "cycle_length_sum": summary.cycle_length_sum,
+    }
+    counts = {"argmin_count": sc.argmin_count, "argmax_count": sc.argmax_count}
+    if report.shard is not None:
+        return {
+            **head,
+            "shard": "/".join(map(str, report.shard)),
+            "partial": True,
+            **totals,
+            **counts,
+            # an empty shard has no extreme
+            "min_value": None if lo is None else lo.to_json_value(),
+            "max_value": None if hi is None else hi.to_json_value(),
+        }
+    examples = {}
+    for key, side in (("argmin_example", sc.lo), ("argmax_example", sc.hi)):
+        edges = enumeration.graph_from_masks(summary.n, side.example).edges()
+        examples[key] = (
+            [list(e) for e in edges] if fmt == "json" else " ".join(f"{u}-{v}" for u, v in edges)
+        )
     payload = {
-        "n": report.n,
-        "weight": report.weight_description,
+        **head,
         "monotonicity": report.monotonicity.value,
-        "graphs_scanned": report.graphs_scanned,
-        "cycle_length_sum": report.cycle_length_sum,
-        "min_value": report.min_value.to_json_value(),
-        "max_value": report.max_value.to_json_value(),
-        "mode": report.min_value.mode,
-        "argmin_count": report.argmin_count,
-        "argmax_count": report.argmax_count,
-        "argmin_classes": len(report.argmin_forms),
-        "argmax_classes": len(report.argmax_forms),
-        "argmin_example": [list(e) for e in report.argmin_example],
-        "argmax_example": [list(e) for e in report.argmax_example],
+        **totals,
+        "min_value": lo.to_json_value(),
+        "max_value": hi.to_json_value(),
+        "mode": lo.mode,
+        **counts,
+        "argmin_classes": len(sc.lo.classes),
+        "argmax_classes": len(sc.hi.classes),
+        **examples,
         "applicable": report.applicable,
     }
     if report.applicable:
@@ -235,31 +257,9 @@ def _cmd_verify(args) -> int:
         raise WeightError(
             "verification needs a fixed weight function; use q2:Q:L with an explicit diameter"
         )
-    if args.shard:
-        summary = extremal.scan_classes(args.n, [h], _parse_shard(args.shard))
-        sc = summary.per_weight[0]
-        mode = "exact" if h.exact else "float"
-        payload = {
-            "n": args.n,
-            "weight": h.description,
-            "shard": args.shard,
-            "partial": True,
-            "graphs_scanned": summary.graphs_scanned,
-            "cycle_length_sum": summary.cycle_length_sum,
-            "argmin_count": sc.argmin_count,
-            "argmax_count": sc.argmax_count,
-        }
-        for key, value in (("min_value", sc.min_value), ("max_value", sc.max_value)):
-            # an empty shard has no extreme
-            payload[key] = None if value is None else IndexValue(value, mode, key).to_json_value()
-        _emit_record(payload, args.format)
-        return 0
-    report = extremal.verify_theorem(args.n, h, jobs=jobs, rel_tol=tol)
-    payload = _report_payload(report)
-    if args.format != "json":
-        for key in ("argmin_example", "argmax_example"):
-            payload[key] = " ".join(f"{u}-{v}" for u, v in payload[key])
-    _emit_record(payload, args.format)
+    shard = _parse_shard(args.shard) if args.shard else None
+    report = extremal.verify_theorem(args.n, h, jobs=jobs, rel_tol=tol, shard=shard)
+    _emit_record(_report_payload(report, args.format), args.format)
     ok = report.claims_ok()
     return 0 if ok is None or ok else CLAIM_VIOLATION
 

@@ -10,15 +10,8 @@ from __future__ import annotations
 
 from typing import Callable, Union
 
-from .indices import IndexValue
+from .indices import IndexValue, index_value
 from .weights import WeightFunction
-
-
-def _evaluate(total, h: WeightFunction, name: str) -> IndexValue:
-    mode = "exact" if h.exact else "float"
-    if mode == "float":
-        total = float(total)
-    return IndexValue(total, mode, name)
 
 
 def _sum(lo: int, hi: int, term: Callable[[int], Union[int, float]]):
@@ -34,7 +27,7 @@ def path_closed_form(n: int, h: WeightFunction) -> IndexValue:
     if n < 1:
         raise ValueError(f"path needs n >= 1, got {n}")
     total = _sum(1, n - 1, lambda k: (n - k) * h(k))
-    return _evaluate(total, h, f"path-closed-form(n={n})")
+    return index_value(total, h, f"path-closed-form(n={n})")
 
 
 def cycle_closed_form(n: int, h: WeightFunction) -> IndexValue:
@@ -45,7 +38,7 @@ def cycle_closed_form(n: int, h: WeightFunction) -> IndexValue:
         total = _sum(1, (n - 1) // 2, lambda j: n * h(j))
     else:
         total = _sum(1, n // 2 - 1, lambda j: n * h(j)) + (n // 2) * h(n // 2)
-    return _evaluate(total, h, f"cycle-closed-form(n={n})")
+    return index_value(total, h, f"cycle-closed-form(n={n})")
 
 
 def triangle_star_closed_form(n: int, h: WeightFunction) -> IndexValue:
@@ -57,7 +50,7 @@ def triangle_star_closed_form(n: int, h: WeightFunction) -> IndexValue:
     if n < 4:
         raise ValueError(f"triangle-star needs n >= 4, got {n}")
     total = n * h(1) + (n * (n - 3) // 2) * h(2)
-    return _evaluate(total, h, f"triangle-star-closed-form(n={n})")
+    return index_value(total, h, f"triangle-star-closed-form(n={n})")
 
 
 def tadpole_closed_form(r: int, n: int, h: WeightFunction) -> IndexValue:
@@ -87,5 +80,5 @@ def tadpole_closed_form(r: int, n: int, h: WeightFunction) -> IndexValue:
         total += _sum(1, t, lambda j: (t + 1 - j) * h(j))
         total += 2 * _sum(1, t, lambda k: _sum(1, half - 1, lambda j: h(k + j)))
         total += _sum(1, t, lambda k: h(half + k))
-    return _evaluate(total, h, f"tadpole-closed-form(r={r},n={n})")
+    return index_value(total, h, f"tadpole-closed-form(r={r},n={n})")
 

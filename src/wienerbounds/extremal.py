@@ -23,11 +23,9 @@ from typing import Callable, Sequence
 
 from .closed_forms import tadpole_closed_form, triangle_star_closed_form
 from .enumeration import (
-    canonical_form,
     MAX_CLASS_N,
     check_n,
     class_key,
-    graph_from_masks,
     iter_unicyclic_classes,
     iter_unicyclic_edge_masks,
     representative_masks,
@@ -41,7 +39,7 @@ from .graphs import (
     is_unicyclic,
     major_vertex_report,
 )
-from .indices import IndexValue, generalized_wiener
+from .indices import IndexValue, generalized_wiener, index_value
 from .weights import Monotonicity, WeightFunction, classify_monotonicity
 
 
@@ -261,22 +259,16 @@ def scan_extremes_parallel(
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one exhaustive min/max verification for one weight."""
+    """Outcome of one min/max verification for one weight: the scan's totals
+    and its WeightScan, and the bound claims checked against them.  The
+    claims apply to a whole scan at n >= 6; a shard's report is a partial
+    scan with no claim checked."""
 
-    n: int
-    weight_description: str
+    weight: WeightFunction
     monotonicity: Monotonicity
-    graphs_scanned: int
-    cycle_length_sum: int
-    min_value: IndexValue
-    max_value: IndexValue
-    argmin_forms: tuple[bytes, ...]
-    argmax_forms: tuple[bytes, ...]
-    argmin_count: int
-    argmax_count: int
-    argmin_example: tuple[tuple[int, int], ...]
-    argmax_example: tuple[tuple[int, int], ...]
-    applicable: bool
+    summary: ScanSummary  # graphs_scanned and cycle_length_sum of the scan
+    scan: WeightScan
+    shard: tuple[int, int] | None = None
     expected_min: IndexValue | None = None
     expected_max: IndexValue | None = None
     min_value_ok: bool | None = None
@@ -284,8 +276,22 @@ class VerificationReport:
     max_value_ok: bool | None = None
     max_unique_ok: bool | None = None
 
+    # the extremes as index values (None on an empty shard)
+    min_value = property(lambda self: self._index(self.scan.min_value, "min"))
+    max_value = property(lambda self: self._index(self.scan.max_value, "max"))
+
+    def _index(self, value, side: str) -> IndexValue | None:
+        if value is None:
+            return None
+        return index_value(value, self.weight, f"{side}[{self.weight.description}]")
+
+    @property
+    def applicable(self) -> bool:
+        """Whether the bound claims were checked."""
+        return self.expected_min is not None
+
     def claims_ok(self) -> bool | None:
-        """True/False when the bound claims apply (n >= 6), else None."""
+        """True/False when the bound claims apply, else None."""
         if not self.applicable:
             return None
         return bool(
@@ -314,6 +320,55 @@ def _attained_by_class_only(n: int, side: Extreme, expected: Graph, aut: int) ->
     }
 
 
+def _strict_monotonicity(h: WeightFunction, upto: int) -> Monotonicity:
+    """The direction of ``h`` on the distances 1..upto, refusing a weight that
+    is not strictly monotone there."""
+    mono = classify_monotonicity(h, upto)
+    if mono is Monotonicity.NEITHER:
+        raise NonMonotoneWeightError(
+            f"weight {h.description!r} is not strictly monotone on 1..{upto}; "
+            "the extremal characterization does not apply"
+        )
+    return mono
+
+
+def _verify(
+    n: int,
+    weights: Sequence[WeightFunction],
+    jobs: int,
+    rel_tol: float,
+    shard: tuple[int, int] | None,
+) -> list[VerificationReport]:
+    check_n(n, MAX_CLASS_N, "class-engine")
+    monotonicities = [_strict_monotonicity(h, max(2, n - 2)) for h in weights]
+    if shard is None:
+        summary = _fan_out(scan_classes, n, weights, jobs if n >= CLASS_FANOUT_MIN_N else 1)
+    else:
+        summary = scan_classes(n, weights, shard)
+    reports = []
+    for h, mono, sc in zip(weights, monotonicities, summary.per_weight):
+        claims: dict = {}
+        if shard is None and n >= 6:
+            # (closed form, graph, |Aut|): Aut(J_n) swaps the two bare triangle
+            # vertices and permutes the n-3 pendants; Aut(F_3,n) only swaps
+            star = (triangle_star_closed_form(n, h), triangle_star(n), 2 * math.factorial(n - 3))
+            tad = (tadpole_closed_form(3, n, h), tadpole(3, n), 2)
+            increasing = mono is Monotonicity.STRICTLY_INCREASING
+            (min_cf, min_g, min_aut), (max_cf, max_g, max_aut) = (
+                (star, tad) if increasing else (tad, star)
+            )
+            claims = dict(
+                expected_min=min_cf,
+                expected_max=max_cf,
+                min_value_ok=_values_match(sc.min_value, min_cf.value, rel_tol),
+                min_unique_ok=_attained_by_class_only(n, sc.lo, min_g, min_aut),
+                max_value_ok=_values_match(sc.max_value, max_cf.value, rel_tol),
+                max_unique_ok=_attained_by_class_only(n, sc.hi, max_g, max_aut),
+            )
+        reports.append(VerificationReport(h, mono, summary, sc, shard, **claims))
+    return reports
+
+
 def verify_theorem_many(
     n: int,
     weights: Sequence[WeightFunction],
@@ -323,65 +378,7 @@ def verify_theorem_many(
     """Verify the extremal bounds for several weights over one scan of the
     isomorphism classes, fanned out over ``jobs`` worker processes from
     n = CLASS_FANOUT_MIN_N on (a smaller scan runs in process)."""
-    check_n(n, MAX_CLASS_N, "class-engine")
-    monotonicities = []
-    for h in weights:
-        mono = classify_monotonicity(h, max(2, n - 2))
-        if mono is Monotonicity.NEITHER:
-            raise NonMonotoneWeightError(
-                f"weight {h.description!r} is not strictly monotone on 1..{max(2, n - 2)}; "
-                "the extremal characterization does not apply"
-            )
-        monotonicities.append(mono)
-    summary = _fan_out(scan_classes, n, weights, jobs if n >= CLASS_FANOUT_MIN_N else 1)
-    reports = []
-    for h, mono, sc in zip(weights, monotonicities, summary.per_weight):
-        mode = "exact" if h.exact else "float"
-        min_iv = IndexValue(sc.min_value, mode, f"min[{h.description}]")
-        max_iv = IndexValue(sc.max_value, mode, f"max[{h.description}]")
-        argmin_forms, argmax_forms = (  # one canonical form per attaining class
-            tuple(sorted(canonical_form(graph_from_masks(n, m)) for m in masks))
-            for masks in (sc.argmin_masks, sc.argmax_masks)
-        )
-        applicable = n >= 6
-        kwargs: dict = {}
-        if applicable:
-            # (closed form, graph, |Aut|): Aut(J_n) swaps the two bare triangle
-            # vertices and permutes the n-3 pendants; Aut(F_3,n) only swaps
-            star = (triangle_star_closed_form(n, h), triangle_star(n), 2 * math.factorial(n - 3))
-            tad = (tadpole_closed_form(3, n, h), tadpole(3, n), 2)
-            increasing = mono is Monotonicity.STRICTLY_INCREASING
-            (min_cf, min_g, min_aut), (max_cf, max_g, max_aut) = (
-                (star, tad) if increasing else (tad, star)
-            )
-            kwargs = dict(
-                expected_min=min_cf,
-                expected_max=max_cf,
-                min_value_ok=_values_match(sc.min_value, min_cf.value, rel_tol),
-                min_unique_ok=_attained_by_class_only(n, sc.lo, min_g, min_aut),
-                max_value_ok=_values_match(sc.max_value, max_cf.value, rel_tol),
-                max_unique_ok=_attained_by_class_only(n, sc.hi, max_g, max_aut),
-            )
-        reports.append(
-            VerificationReport(
-                n=n,
-                weight_description=h.description,
-                monotonicity=mono,
-                graphs_scanned=summary.graphs_scanned,
-                cycle_length_sum=summary.cycle_length_sum,
-                min_value=min_iv,
-                max_value=max_iv,
-                argmin_forms=argmin_forms,
-                argmax_forms=argmax_forms,
-                argmin_count=sc.argmin_count,
-                argmax_count=sc.argmax_count,
-                argmin_example=tuple(graph_from_masks(n, sc.lo.example).edges()),
-                argmax_example=tuple(graph_from_masks(n, sc.hi.example).edges()),
-                applicable=applicable,
-                **kwargs,
-            )
-        )
-    return reports
+    return _verify(n, weights, jobs, rel_tol, None)
 
 
 def verify_theorem(
@@ -389,9 +386,12 @@ def verify_theorem(
     h: WeightFunction,
     jobs: int = 1,
     rel_tol: float = 1e-9,
+    shard: tuple[int, int] | None = None,
 ) -> VerificationReport:
-    """Exhaustively verify the two-sided bound and its uniqueness for one weight."""
-    return verify_theorem_many(n, [h], jobs=jobs, rel_tol=rel_tol)[0]
+    """Exhaustively verify the two-sided bound and its uniqueness for one
+    weight.  With ``shard`` (i, k), scan only the classes i, i + k, ... in
+    process and check no claim: the report is a mergeable partial scan."""
+    return _verify(n, [h], jobs, rel_tol, shard)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +412,7 @@ def check_f3_dominance(
     """
     if n_max < 4:
         return []
-    mono = classify_monotonicity(h, max(2, n_max - 1))
-    if mono is Monotonicity.NEITHER:
-        raise NonMonotoneWeightError(
-            f"weight {h.description!r} is not strictly monotone on 1..{n_max - 1}"
-        )
-    increasing = mono is Monotonicity.STRICTLY_INCREASING
+    increasing = _strict_monotonicity(h, n_max - 1) is Monotonicity.STRICTLY_INCREASING
     results = []
     for n in range(4, n_max + 1):
         f3 = tadpole_closed_form(3, n, h).value
@@ -575,7 +570,7 @@ def local_search_max(
     """
     if not is_unicyclic(g0):
         raise GraphError("local search needs a unicyclic graph")
-    mono = classify_monotonicity(h, max(2, g0.n - 2))
+    mono = _strict_monotonicity(h, max(2, g0.n - 2))
     if mono is not Monotonicity.STRICTLY_INCREASING:
         raise NonMonotoneWeightError(
             f"local_search_max needs a strictly increasing weight, got {mono.value}"

@@ -245,11 +245,6 @@ def distance_distribution(g: Graph) -> DistanceDistribution:
     return DistanceDistribution(counts, g.n)
 
 
-def diameter(g: Graph) -> int:
-    """Largest pairwise distance; 0 for the single-vertex graph."""
-    return distance_distribution(g).max_distance
-
-
 def is_unicyclic(g: Graph) -> bool:
     """Connected with exactly as many edges as vertices."""
     return g.edge_count == g.n and is_connected(g)

@@ -35,6 +35,13 @@ class IndexValue:
         return float(self.value)
 
 
+def index_value(total: Number, h: WeightFunction, name: str) -> IndexValue:
+    """``total`` as a value of weight ``h``: exact when h is, else a float."""
+    if h.exact:
+        return IndexValue(total, "exact", name)
+    return IndexValue(float(total), "float", name)
+
+
 def index_from_distribution(
     dist: DistanceDistribution, h: WeightFunction, name: str | None = None
 ) -> IndexValue:
@@ -44,10 +51,7 @@ def index_from_distribution(
     total: Number = 0
     for k in sorted(dist.counts):
         total += dist.counts[k] * h(k)
-    mode = "exact" if h.exact else "float"
-    if mode == "float":
-        total = float(total)
-    return IndexValue(total, mode, name if name is not None else h.description)
+    return index_value(total, h, name if name is not None else h.description)
 
 
 def generalized_wiener(g: Graph, h: WeightFunction, name: str | None = None) -> IndexValue:

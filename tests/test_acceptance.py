@@ -81,18 +81,19 @@ def test_criterion_3_exhaustive_theorem_verification():
     for n in (6, 7, 8):
         reports = verify_theorem_many(n, weights, jobs=JOBS)
         for rep in reports:
-            assert rep.graphs_scanned == expected_counts[n], (
-                f"n={n}: scanned {rep.graphs_scanned}, expected {expected_counts[n]}"
+            scanned = rep.summary.graphs_scanned
+            assert scanned == expected_counts[n], (
+                f"n={n}: scanned {scanned}, expected {expected_counts[n]}"
             )
             # every unicyclic graph arises from one (tree, chord) pair per cycle edge
             pairs = n ** (n - 2) * (n * (n - 1) // 2 - (n - 1))
-            assert rep.cycle_length_sum == pairs
+            assert rep.summary.cycle_length_sum == pairs
             assert rep.claims_ok() is True, (
-                f"n={n}, weight {rep.weight_description}: "
+                f"n={n}, weight {rep.weight.description}: "
                 f"min={rep.min_value.value} (expected {rep.expected_min.value}, "
-                f"{len(rep.argmin_forms)} classes), "
+                f"{len(rep.scan.lo.classes)} classes), "
                 f"max={rep.max_value.value} (expected {rep.expected_max.value}, "
-                f"{len(rep.argmax_forms)} classes)"
+                f"{len(rep.scan.hi.classes)} classes)"
             )
     elapsed = time.time() - t0
     assert elapsed < 120.0, f"criterion 3 exceeded 2 min ({elapsed:.1f}s)"

@@ -436,13 +436,24 @@ class TestVerify:
         assert payload["partial"] is True
         assert 0 < payload["graphs_scanned"] < 3660
 
-    def test_non_monotone_weight_rejected(self, capsys):
-        code, _, err = run(capsys, "verify", "--n", "6", "--weight", "power:0")
-        assert code == 2 and "monotone" in err
+    @pytest.fixture
+    def no_scan(self, monkeypatch):
+        from wienerbounds import extremal
 
-    def test_q2_without_diameter_rejected(self, capsys):
-        code, _, err = run(capsys, "verify", "--n", "6", "--weight", "q2:0.5")
-        assert code == 2 and "diameter" in err
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a scan was started")
+
+        monkeypatch.setattr(extremal, "scan_classes", forbidden)
+
+    @pytest.mark.parametrize("shard", [[], ["--shard", "0/2"]])
+    def test_non_monotone_weight_rejected(self, capsys, no_scan, shard):
+        code, out, err = run(capsys, "verify", "--n", "6", "--weight", "power:0", *shard)
+        assert code == 2 and out == "" and "monotone" in err
+
+    @pytest.mark.parametrize("shard", [[], ["--shard", "0/2"]])
+    def test_q2_without_diameter_rejected(self, capsys, no_scan, shard):
+        code, out, err = run(capsys, "verify", "--n", "6", "--weight", "q2:0.5", *shard)
+        assert code == 2 and out == "" and "diameter" in err
 
     def test_csv_report_row_is_well_formed(self, capsys):
         code, out, _ = run(

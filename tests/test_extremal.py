@@ -35,16 +35,21 @@ from wienerbounds.indices import generalized_wiener, wiener
 from wienerbounds.weights import PowerWeight, QWienerWeight, TableWeight
 
 
+def keys(g: Graph) -> set:
+    """The class key of ``g``, as the one-element set a scan side holds."""
+    return {class_key(g.n, g.adjacency_masks())}
+
+
 class TestVerifyTheorem:
     def test_n6_identity_weight(self):
         report = verify_theorem(6, PowerWeight(1))
         assert report.min_value.value == 24
         assert report.max_value.value == 31
-        assert report.graphs_scanned == 3660
-        assert report.argmin_count == 60
-        assert report.argmax_count == 360
-        assert report.argmin_forms == (canonical_form(triangle_star(6)),)
-        assert report.argmax_forms == (canonical_form(tadpole(3, 6)),)
+        assert report.summary.graphs_scanned == 3660
+        assert report.scan.argmin_count == 60
+        assert report.scan.argmax_count == 360
+        assert report.scan.lo.classes == keys(triangle_star(6))
+        assert report.scan.hi.classes == keys(tadpole(3, 6))
         assert report.claims_ok() is True
 
     def test_n6_squared_weight(self):
@@ -56,8 +61,8 @@ class TestVerifyTheorem:
     def test_n6_decreasing_swaps_direction(self):
         report = verify_theorem(6, PowerWeight(-1))
         assert report.claims_ok() is True
-        assert report.argmin_forms == (canonical_form(tadpole(3, 6)),)
-        assert report.argmax_forms == (canonical_form(triangle_star(6)),)
+        assert report.scan.lo.classes == keys(tadpole(3, 6))
+        assert report.scan.hi.classes == keys(triangle_star(6))
         assert report.expected_min.value == pytest.approx(
             tadpole_closed_form(3, 6, PowerWeight(-1)).value
         )
@@ -69,7 +74,7 @@ class TestVerifyTheorem:
     def test_n6_inverse_square(self):
         report = verify_theorem(6, PowerWeight(-2))
         assert report.claims_ok() is True
-        assert report.argmax_forms == (canonical_form(triangle_star(6)),)
+        assert report.scan.hi.classes == keys(triangle_star(6))
 
     def test_n6_damped_q_kernel_with_fixed_diameter(self):
         # [k]_2 * 2^(4-k) = 16 - 2^(4-k): strictly increasing in k
@@ -79,7 +84,7 @@ class TestVerifyTheorem:
 
     def test_n3_has_single_graph(self):
         report = verify_theorem(3, PowerWeight(1))
-        assert report.graphs_scanned == 1
+        assert report.summary.graphs_scanned == 1
         assert report.min_value.value == report.max_value.value == 3
         assert report.applicable is False
 
@@ -87,7 +92,7 @@ class TestVerifyTheorem:
         report = verify_theorem(5, PowerWeight(1))
         assert report.applicable is False
         assert report.claims_ok() is None
-        assert report.graphs_scanned == 222
+        assert report.summary.graphs_scanned == 222
         assert report.expected_min is None
 
     def test_refuses_non_monotone(self):
@@ -95,6 +100,14 @@ class TestVerifyTheorem:
             verify_theorem(6, PowerWeight(0))
         with pytest.raises(NonMonotoneWeightError):
             verify_theorem(6, TableWeight((1.0, 1.0, 2.0, 3.0)))
+
+    def test_shards_scan_their_classes_and_check_no_claim(self):
+        full = verify_theorem(6, PowerWeight(1))
+        parts = [verify_theorem(6, PowerWeight(1), shard=(i, 3)) for i in range(3)]
+        assert all(p.applicable is False and p.claims_ok() is None for p in parts)
+        assert sum(p.summary.graphs_scanned for p in parts) == full.summary.graphs_scanned
+        merged = parts[0].scan.merged(parts[1].scan).merged(parts[2].scan)
+        assert merged == full.scan
 
     def test_many_matches_single(self):
         many = verify_theorem_many(6, [PowerWeight(1), PowerWeight(2)])

@@ -35,6 +35,10 @@ CASES = {
     ),
     "verify_6_q1": (["verify", "--n", "6", "--weight", "q1:0.5"], 0),
     "verify_6_csv": (["--format", "csv", "verify", "--n", "6", "--weight", "power:1"], 0),
+    "verify_6_csv_shard_1_3": (
+        ["--format", "csv", "verify", "--n", "6", "--weight", "power:1", "--shard", "1/3"],
+        0,
+    ),
     "lemmas_8_json": (["lemmas", "--nmax", "8", "--weight", "power:1"], 1),
     "lemmas_8_csv": (["--format", "csv", "lemmas", "--nmax", "8", "--weight", "power:1"], 1),
     "search_triangle_star_6": (["search", "--graph", TRIANGLE_STAR_6, "--weight", "power:1"], 0),

@@ -13,7 +13,6 @@ from wienerbounds.graphs import (
     GraphError,
     NotUnicyclicError,
     bfs_distances,
-    diameter,
     distance_distribution,
     find_cycle,
     format_edge_list,
@@ -129,8 +128,8 @@ class TestDistribution:
             assert dist.counts[1] == g.edge_count
 
     def test_diameter(self):
-        assert diameter(cycle(8)) == 4
-        assert diameter(tadpole(3, 7)) == 5
+        assert distance_distribution(cycle(8)).max_distance == 4
+        assert distance_distribution(tadpole(3, 7)).max_distance == 5
 
 
 class TestUnicyclic:
