@@ -98,6 +98,8 @@ def _parse_shard(text: str) -> tuple[int, int]:
 
 
 def _cmd_compute(args) -> int:
+    if args.q is not None and not args.all_named:
+        raise ValueError("--q applies only with --all-named")
     g = _load_graph(args.graph)
     h = _parse_weight(args.weight) if args.weight else None
     if h is None and not args.all_named:
@@ -111,22 +113,23 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    if args.family == "path":
-        g = families.path(args.n)
-    elif args.family == "cycle":
-        g = families.cycle(args.n)
-    elif args.family == "star":
-        g = families.star(args.n)
-    elif args.family == "jn":
-        g = families.triangle_star(args.n)
-    else:  # grn
-        if args.r is None:
-            raise ValueError("--r is required for the grn family")
+    if args.r is not None and args.family != "grn":
+        raise ValueError(f"--r applies only to the grn family, not {args.family}")
+    if args.r is None and args.family == "grn":
+        raise ValueError("--r is required for the grn family")
+    if args.family == "grn":
         g = families.tadpole(args.r, args.n)
+    else:
+        named = {"path": families.path, "cycle": families.cycle, "star": families.star,
+                 "jn": families.triangle_star}
+        g = named[args.family](args.n)
     text = format_edge_list(g)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0
@@ -135,17 +138,16 @@ def _cmd_construct(args) -> int:
 def _cmd_closed_form(args) -> int:
     if args.n > CLOSED_FORM_MAX_N:
         raise ValueError(f"--n {args.n} exceeds the closed-form limit {CLOSED_FORM_MAX_N}")
+    if args.r is not None and args.formula != "F":
+        raise ValueError(f"--r applies only to formula F, not {args.formula}")
+    if args.r is None and args.formula == "F":
+        raise ValueError("--r is required for formula F")
     h = _parse_weight(args.weight)
-    if args.formula == "path":
-        iv = path_closed_form(args.n, h)
-    elif args.formula == "cycle":
-        iv = cycle_closed_form(args.n, h)
-    elif args.formula == "jn":
-        iv = triangle_star_closed_form(args.n, h)
-    else:  # F
-        if args.r is None:
-            raise ValueError("--r is required for formula F")
+    if args.formula == "F":
         iv = tadpole_closed_form(args.r, args.n, h)
+    else:
+        named = {"path": path_closed_form, "cycle": cycle_closed_form, "jn": triangle_star_closed_form}
+        iv = named[args.formula](args.n, h)
     _emit_rows([_index_row(iv)], args.format)
     return 0
 

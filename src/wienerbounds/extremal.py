@@ -34,6 +34,7 @@ from .families import tadpole, triangle_star
 from .graphs import (
     Graph,
     GraphError,
+    _pendant_walk,
     bfs_distances,
     find_cycle,
     is_unicyclic,
@@ -408,11 +409,10 @@ def check_f3_dominance(
     The comparison is strict, so an exact tie returns ok = False.  (4, 4) is
     the known tie: C_4 and the paw (the triangle with one pendant vertex)
     share the distance distribution {1: 4, 2: 2}.  Returns (r, n, ok) for
-    every pair 4 <= r <= n <= n_max, in (n, r) order.
+    every pair 4 <= r <= n <= n_max, in (n, r) order.  The weight is checked
+    on 1..max(2, n_max - 1) even when there is no pair to compare.
     """
-    if n_max < 4:
-        return []
-    increasing = _strict_monotonicity(h, n_max - 1) is Monotonicity.STRICTLY_INCREASING
+    increasing = _strict_monotonicity(h, max(2, n_max - 1)) is Monotonicity.STRICTLY_INCREASING
     results = []
     for n in range(4, n_max + 1):
         f3 = tadpole_closed_form(3, n, h).value
@@ -440,21 +440,10 @@ def _pendant_segment(g: Graph, anchor: int, leaf: int) -> list[int]:
     ordered leaf-last; every interior vertex must have degree 2."""
     if g.degree(leaf) != 1:
         raise ProofMoveError(f"vertex {leaf} is not an end-vertex")
-    seg = []
-    prev = -1
-    x = leaf
-    while x != anchor:
-        if prev != -1 and g.degree(x) != 2:
-            raise ProofMoveError(
-                f"path from {leaf} toward {anchor} branches at vertex {x}"
-            )
-        seg.append(x)
-        nxt = [y for y in g.adj[x] if y != prev]
-        if not nxt:
-            raise ProofMoveError(f"no pendant path from {leaf} reaches {anchor}")
-        prev, x = x, nxt[0]
-    seg.reverse()  # anchor side first
-    return seg
+    walk = _pendant_walk(g, leaf, g.adj[leaf][0])
+    if anchor not in walk:
+        raise ProofMoveError(f"path from {leaf} toward {anchor} branches at vertex {walk[-1]}")
+    return walk[: walk.index(anchor)][::-1]  # anchor side first
 
 
 def _relocate_segment(g: Graph, anchor: int, leaf: int, dest: int) -> Graph:
@@ -504,12 +493,7 @@ def _cycle_tail(g: Graph, v: int, cycle: set[int]) -> list[int]:
         raise ProofMoveError(
             f"vertex {v} must be a cycle vertex of degree 3 with one tail"
         )
-    tail = [off[0]]
-    prev = v
-    while g.degree(tail[-1]) == 2:
-        nxt = [y for y in g.adj[tail[-1]] if y != prev]
-        prev = tail[-1]
-        tail.append(nxt[0])
+    tail = _pendant_walk(g, v, off[0])[1:]
     if g.degree(tail[-1]) != 1:
         raise ProofMoveError(f"tail at vertex {v} is not a path")
     return tail

@@ -128,8 +128,9 @@ class MajorVertexReport:
     """Major vertices (degree >= 3) and their terminal end-vertices.
 
     An end-vertex u is terminal for major vertex v when u is strictly closer
-    to v than to every other major vertex.  ``multi_terminal_majors`` holds
-    the majors with terminal degree greater than one.
+    to v than to every other major vertex: in a connected graph, when v is
+    the first major vertex on u's pendant path.  ``multi_terminal_majors``
+    holds the majors with terminal degree greater than one.
     """
 
     majors: frozenset[int]
@@ -295,24 +296,33 @@ def find_cycle(g: Graph) -> CycleInfo:
     return CycleInfo(tuple(order))
 
 
+def _pendant_walk(g: Graph, start: int, step: int) -> list[int]:
+    """The walk start, step, ... that goes on through degree-2 vertices and
+    stops at the first vertex of another degree.  ``start`` must not have
+    degree 2, so the walk ends, at the latest back at ``start``."""
+    walk = [start, step]
+    while len(g.adj[walk[-1]]) == 2:
+        a, b = g.adj[walk[-1]]
+        walk.append(a if b == walk[-2] else b)
+    return walk
+
+
 def major_vertex_report(g: Graph) -> MajorVertexReport:
-    """Classify major vertices and their terminal end-vertices."""
-    majors = sorted(v for v in range(g.n) if len(g.adj[v]) >= 3)
-    leaves = [v for v in range(g.n) if len(g.adj[v]) == 1]
+    """Classify major vertices and their terminal end-vertices.  Every path out
+    of an end-vertex starts along its pendant path, so the major vertex where
+    that walk ends is strictly nearer to it than any other."""
+    majors = [v for v in range(g.n) if len(g.adj[v]) >= 3]
     terminals: dict[int, list[int]] = {v: [] for v in majors}
     if majors:
-        dist_to_major = {w: bfs_distances(g, w) for w in majors}
-        for u in leaves:
-            best = min(majors, key=lambda w: dist_to_major[w][u])
-            d_best = dist_to_major[best][u]
-            # strict closeness required: a tie disqualifies u everywhere
-            if all(dist_to_major[w][u] > d_best for w in majors if w != best):
-                terminals[best].append(u)
-    multi = frozenset(v for v, ts in terminals.items() if len(ts) > 1)
+        if not is_connected(g):
+            raise DisconnectedGraphError("major vertex report needs a connected graph")
+        for u in range(g.n):
+            if len(g.adj[u]) == 1:
+                terminals[_pendant_walk(g, u, g.adj[u][0])[-1]].append(u)
     return MajorVertexReport(
         frozenset(majors),
         {v: tuple(ts) for v, ts in terminals.items()},
-        multi,
+        frozenset(v for v, ts in terminals.items() if len(ts) > 1),
     )
 
 

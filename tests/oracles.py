@@ -4,7 +4,9 @@ Everything here recomputes results from first principles (per-pair BFS,
 brute-force subset enumeration) so the package's distribution-based fast
 paths are checked against a second route.  ``backtrack_canonical_form`` is
 the general-purpose canonical form the package used before its leaf-peeling
-class key, kept here as the isomorphism oracle for it.
+class key, kept here as the isomorphism oracle for it, and
+``bfs_major_vertex_report`` is the distance-based terminal rule the package
+used before its pendant-path walk.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 import networkx as nx
 
-from wienerbounds.graphs import Graph
+from wienerbounds.graphs import Graph, MajorVertexReport, bfs_distances
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -101,6 +103,29 @@ def tadpole3_reduced(n: int, h) -> object:
     n h(1) + sum_{j=2}^{n-2} (n-j) h(j).  A second route to
     ``tadpole_closed_form(3, n, h)``, which is evaluated term by term."""
     return n * h(1) + sum((n - j) * h(j) for j in range(2, n - 1))
+
+
+def bfs_major_vertex_report(g: Graph) -> MajorVertexReport:
+    """Oracle: the terminal rule from its definition.  An end-vertex u is
+    terminal for major vertex v when u is strictly closer to v than to every
+    other major vertex, with distances from one BFS per major vertex; a tie
+    disqualifies u everywhere.  Raises DisconnectedGraphError, through
+    ``bfs_distances``, on a disconnected graph with a major vertex."""
+    majors = sorted(v for v in range(g.n) if len(g.adj[v]) >= 3)
+    leaves = [v for v in range(g.n) if len(g.adj[v]) == 1]
+    terminals: dict[int, list[int]] = {v: [] for v in majors}
+    if majors:
+        dist_to_major = {w: bfs_distances(g, w) for w in majors}
+        for u in leaves:
+            best = min(majors, key=lambda w: dist_to_major[w][u])
+            d_best = dist_to_major[best][u]
+            if all(dist_to_major[w][u] > d_best for w in majors if w != best):
+                terminals[best].append(u)
+    return MajorVertexReport(
+        frozenset(majors),
+        {v: tuple(ts) for v, ts in terminals.items()},
+        frozenset(v for v, ts in terminals.items() if len(ts) > 1),
+    )
 
 
 # ---------------------------------------------------------------------------

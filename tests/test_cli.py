@@ -134,6 +134,14 @@ class TestConstruct:
         code, _, _ = run(capsys, "construct", "--family", "cycle", "--n", "2")
         assert code == 2
 
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "g.txt"
+        code, out, err = run(
+            capsys, "construct", "--family", "cycle", "--n", "5", "--out", str(out_file)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {out_file}") and "Traceback" not in err
+
 
 class TestClosedForm:
     def test_tadpole_formula(self, capsys):
@@ -224,6 +232,27 @@ WEIGHTED_COMMANDS = [
     ["compute", "--graph", TADPOLE_3_6],
     ["search", "--graph", TADPOLE_3_6],
 ]
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["compute", "--graph", TADPOLE_3_6, "--weight", "power:1", "--q", "0.5"], "--q"),
+        (["construct", "--family", "cycle", "--n", "5", "--r", "3"], "--r"),
+        (["closed-form", "--formula", "path", "--n", "5", "--r", "3", "--weight", "power:1"], "--r"),
+    ],
+)
+def test_option_the_variant_ignores_is_refused(capsys, monkeypatch, argv, option):
+    from wienerbounds import cli
+
+    def no_read(path):
+        raise AssertionError("the graph was read")
+
+    forbid_terms(monkeypatch)
+    monkeypatch.setattr(cli, "_load_graph", no_read)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {option} applies only")
 
 
 class TestExactExponent:
@@ -598,6 +627,12 @@ class TestLemmas:
         # and exits 0; any --nmax >= 4 includes the r = n = 4 tie and exits 1
         code, out, _ = run(capsys, "lemmas", "--nmax", "3", "--weight", "power:1")
         assert code == 0 and json.loads(out)["pairs_checked"] == 0
+
+    @pytest.mark.parametrize("nmax", ["1", "3", "4"])
+    def test_weight_checked_with_or_without_pairs(self, capsys, nmax):
+        code, out, err = run(capsys, "lemmas", "--nmax", nmax, "--weight", "power:0")
+        assert code == 2 and out == ""
+        assert "not strictly monotone" in err
 
     def test_criterion_4_sweep_accepted(self, capsys):
         code, out, _ = run(capsys, "lemmas", "--nmax", "30", "--weight", "power:1")

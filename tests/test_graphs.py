@@ -1,8 +1,14 @@
+import itertools
 import random
 
 import pytest
 
-from wienerbounds.enumeration import prufer_to_tree, random_unicyclic
+from wienerbounds.enumeration import (
+    graph_from_masks,
+    iter_unicyclic_edge_masks,
+    prufer_to_tree,
+    random_unicyclic,
+)
 from wienerbounds import graphs
 from wienerbounds.families import cycle, path, star, tadpole, triangle_star
 from wienerbounds.graphs import (
@@ -240,14 +246,54 @@ class TestMajorVertices:
 
     def test_trees_up_to_7_match_path_characterization(self):
         # exhaustive cross-check of the distance-based definition
-        import itertools
+        for tree in _labeled_trees(7):
+            is_path = all(d <= 2 for d in tree.degree_sequence())
+            empty = not oracles.bfs_major_vertex_report(tree).multi_terminal_majors
+            assert empty == is_path, f"edges={list(tree.edges())}"
 
-        for n in range(2, 8):
-            for seq in itertools.product(range(n), repeat=n - 2):
-                tree = prufer_to_tree(seq)
-                is_path = all(d <= 2 for d in tree.degree_sequence())
-                empty = not major_vertex_report(tree).multi_terminal_majors
-                assert empty == is_path, f"n={n} seq={seq}"
+    @pytest.mark.parametrize("family", ["trees", "unicyclic", "random"])
+    def test_pendant_walk_matches_bfs_oracle(self, family):
+        graphs_in = {
+            "trees": lambda: _labeled_trees(7),
+            "unicyclic": lambda: (
+                graph_from_masks(n, masks)
+                for n in range(3, 8)
+                for masks, _ in iter_unicyclic_edge_masks(n)
+            ),
+            "random": lambda: _random_connected(2000, random.Random(93441)),
+        }[family]()
+        checked = 0
+        for g in graphs_in:
+            report = major_vertex_report(g)
+            assert report == oracles.bfs_major_vertex_report(g), f"edges={list(g.edges())}"
+            assert all(list(ts) == sorted(ts) for ts in report.terminals.values())
+            checked += 1
+        assert checked == {"trees": 18_248, "unicyclic": 72_193, "random": 2000}[family]
+
+    def test_disconnected_with_a_major_vertex_raises(self):
+        g = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (4, 5)])
+        for report in (major_vertex_report, oracles.bfs_major_vertex_report):
+            with pytest.raises(DisconnectedGraphError):
+                report(g)
+
+
+def _labeled_trees(n_max: int):
+    """Every labeled tree on 2..n_max vertices, by Prufer sequence."""
+    for n in range(2, n_max + 1):
+        for seq in itertools.product(range(n), repeat=n - 2):
+            yield prufer_to_tree(seq)
+
+
+def _random_connected(count: int, rng: random.Random):
+    """Seeded random trees on 2..59 vertices, most with a few extra edges
+    (several cycles), so leaves hang off majors on and off cycles."""
+    for _ in range(count):
+        n = rng.randrange(2, 60)
+        edges = set(prufer_to_tree([rng.randrange(n) for _ in range(n - 2)]).edges())
+        for _ in range(rng.randrange(4)):
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.add((u, v))
+        yield Graph.from_edges(n, edges)
 
 
 class TestMisc:
