@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from random import Random
 from typing import Iterator, Sequence
 
-from .graphs import Graph, GraphError, is_connected, peel_leaves
+from .graphs import Graph, GraphError, cycle_order, cycle_pairs, is_connected, peel_leaves
 
 # The labeled scans stop here: n = 9 is 33,779,340 labeled unicyclic
 # graphs (OEIS A057500) and n = 10 is 880,107,840, hours on two workers.
@@ -233,11 +232,7 @@ def class_key(n: int, masks: Sequence[int]) -> tuple[str, ...]:
     code = {v: "(" + "".join(sorted(kids[v])) + ")" for v in range(n) if alive >> v & 1}
     if len(code) <= 2:  # a tree centre; a cycle keeps at least three vertices
         return tuple(sorted(code.values()))
-    ring = []
-    x = prev = min(code)
-    for _ in code:  # walk the cycle from its lowest vertex
-        ring.append(code[x])
-        prev, x = x, (masks[x] & alive & ~(1 << prev)).bit_length() - 1
+    ring = [code[x] for x in cycle_order(masks, alive)]
     r = len(ring)
     first = min(ring)
     return tuple(
@@ -455,16 +450,10 @@ def _classes(n: int, shard: tuple[int, int]):
             index += 1
             if index % step != first:
                 continue
-            pairs = 0
+            pairs = cycle_pairs([trees[j].depths for j in seq], _BITS)
             for j in seq:
                 aut *= trees[j].aut
                 pairs += trees[j].pairs
-            depths = [trees[j].depths for j in seq]
-            ring = depths * 2
-            for gap in range(1, r // 2 + 1):
-                span = gap if 2 * gap == r else r  # a half-way pair once, not twice
-                across = sum(map(operator.mul, depths[:span], ring[gap : gap + span]))
-                pairs += across << (_BITS * gap)
             counts = tuple((pairs >> (_BITS * d)) & _COEF for d in range(n - 1))
             yield r, tuple(trees[j].code for j in seq), aut, counts
 

@@ -15,7 +15,6 @@ branch-relocation moves that drive a maximizing local search.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import operator
 from dataclasses import dataclass, field
 from functools import reduce
@@ -32,11 +31,13 @@ from .enumeration import (
 )
 from .families import tadpole, triangle_star
 from .graphs import (
+    DisconnectedGraphError,
     Graph,
     GraphError,
     _pendant_walk,
     bfs_distances,
     find_cycle,
+    is_connected,
     is_unicyclic,
     major_vertex_report,
 )
@@ -240,6 +241,8 @@ def _fan_out(scan, n: int, weights: Sequence[WeightFunction], jobs: int) -> Scan
     i/jobs in worker processes and merge the partial results."""
     if jobs <= 1:
         return scan(n, weights)
+    import multiprocessing  # here, not at the top: most runs never fork
+
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(jobs) as pool:
         parts = pool.starmap(scan, [(n, list(weights), (i, jobs)) for i in range(jobs)])
@@ -478,10 +481,11 @@ def apply_terminal_merge(g: Graph, w: int, u1: int, u2: int) -> Graph:
         raise ProofMoveError(f"vertex {w} has degree {g.degree(w)} < 3")
     if u1 == u2:
         raise ProofMoveError("the two terminal vertices must differ")
-    report = major_vertex_report(g)
-    terms = set(report.terminals.get(w, ()))
-    for u in (u1, u2):
-        if u not in terms:
+    if not is_connected(g):
+        raise DisconnectedGraphError("terminal merge needs a connected graph")
+    for u in (u1, u2):  # terminal: an end-vertex whose pendant walk ends at w
+        leaf = 0 <= u < g.n and g.degree(u) == 1
+        if not (leaf and _pendant_walk(g, u, g.adj[u][0])[-1] == w):
             raise ProofMoveError(f"vertex {u} is not a terminal vertex of {w}")
     return _relocate_segment(g, w, u1, u2)
 

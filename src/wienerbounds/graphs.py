@@ -4,12 +4,21 @@ Graphs are finite, undirected and simple, with dense integer vertex labels
 0..n-1. Connectivity is not enforced by the type: parsing accepts any simple
 graph, and every distance-based operation rejects disconnected input with an
 explicit error instead of returning a wrong answer.
+
+The distance distribution needs no BFS from every vertex.  Peeling leaves
+strips a connected graph to its core (its cycle, a tree centre, or the
+2-core of a graph with several cycles), and each peeled vertex folds its
+hanging tree into its parent as a packed depth polynomial, counting the
+pairs it closes on the way.  Pairs across two core vertices' trees are the
+product of their depth polynomials shifted by the core distance: a fold by
+gap around a cycle, one BFS per core vertex for any other core.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import operator
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Iterable, Iterator, Sequence
 
 # Vertex counts from outside input stop here, before any per-vertex
@@ -193,57 +202,105 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    """Shortest-path distances from ``source`` to every vertex.
-
-    Raises DisconnectedGraphError naming an unreachable vertex.
-    """
-    if not (0 <= source < g.n):
-        raise GraphError(f"vertex {source} out of range for n={g.n}")
-    dist = [-1] * g.n
+def _bfs(adj: Sequence[Sequence[int]], source: int) -> tuple[list[int], list[int]]:
+    """Distances from ``source`` along the adjacency lists ``adj`` (-1 where
+    unreached), and the reached vertices in BFS order."""
+    dist = [-1] * len(adj)
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
+    queue = [source]
+    for x in queue:  # the loop reads what it appends
         dx = dist[x] + 1
-        for y in g.adj[x]:
+        for y in adj[x]:
             if dist[y] < 0:
                 dist[y] = dx
                 queue.append(y)
-    for v, d in enumerate(dist):
-        if d < 0:
-            raise DisconnectedGraphError(
-                f"vertex {v} is unreachable from vertex {source}"
-            )
+    return dist, queue
+
+
+def bfs_distances(g: Graph, source: int) -> list[int]:
+    """Shortest-path distances from ``source`` to every vertex.
+
+    Raises DisconnectedGraphError naming the least unreachable vertex.
+    """
+    if not (0 <= source < g.n):
+        raise GraphError(f"vertex {source} out of range for n={g.n}")
+    dist, queue = _bfs(g.adj, source)
+    if len(queue) < g.n:
+        raise DisconnectedGraphError(
+            f"vertex {dist.index(-1)} is unreachable from vertex {source}"
+        )
     return dist
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 1:
-        return True
-    seen = 1
-    stack = [0]
-    masks = g.adjacency_masks()
-    while stack:
-        x = stack.pop()
-        m = masks[x] & ~seen
-        while m:
-            b = m & -m
-            seen |= b
-            stack.append(b.bit_length() - 1)
-            m ^= b
-    return seen == (1 << g.n) - 1
+    return len(_bfs(g.adj, 0)[1]) == g.n
+
+
+def cycle_pairs(depths: Sequence[int], width: int) -> int:
+    """Pairs across the trees hung around a cycle, as a packed polynomial.
+
+    ``depths[i]`` is the depth polynomial of the tree at the i-th cycle
+    vertex, in cyclic order, with coefficients ``width`` bits apart.  Trees
+    ``gap`` steps apart pair at depth a + depth b + gap, so each gap adds
+    the products of the depth polynomials that far apart, shifted by gap.
+    """
+    r = len(depths)
+    ring = list(depths) * 2
+    pairs = 0
+    for gap in range(1, r // 2 + 1):
+        span = gap if 2 * gap == r else r  # a half-way pair once, not twice
+        across = sum(map(operator.mul, depths[:span], ring[gap : gap + span]))
+        pairs += across << (width * gap)
+    return pairs
 
 
 def distance_distribution(g: Graph) -> DistanceDistribution:
-    """Distance distribution via one BFS per vertex; requires connectivity."""
-    counts: dict[int, int] = {}
-    for s in range(g.n):
-        dist = bfs_distances(g, s)
-        for v in range(s + 1, g.n):
-            d = dist[v]
-            counts[d] = counts.get(d, 0) + 1
-    return DistanceDistribution(counts, g.n)
+    """Unordered pair counts by distance; requires connectivity.
+
+    ``peel_leaves`` strips the graph to its core, children first.  Each
+    vertex carries the depth polynomial of the tree it holds so far,
+    coefficient d counting its vertices d levels down, packed ``width`` bits
+    apart.  Folding v into its parent p adds D[p] * (D[v] << width): a
+    vertex a below v and one b below p are a + 1 + b apart.  Then
+    D[p] += D[v] << width.  Core vertices i and j pair their trees as
+    D[i] * D[j] shifted by d(i, j): by gap around a cycle (``cycle_pairs``),
+    or else from one BFS over the core per core vertex (a tree centre, or a
+    core with several cycles), which counts each pair from both ends and
+    halves the sum.  A coefficient counts pairs, at most C(n, 2) and twice
+    that before the halving, so whole bytes wide enough for n(n - 1) hold
+    it and decode in linear time.
+    """
+    n = g.n
+    bfs_distances(g, 0)  # raises DisconnectedGraphError naming the least unreached vertex
+    masks = g.adjacency_masks()
+    size = max(1, ((n * (n - 1)).bit_length() + 7) // 8)  # bytes per coefficient
+    width = 8 * size
+    alive, peeled = peel_leaves(masks)
+    depths = [1] * n
+    pairs = 0
+    for v, p in peeled:
+        below = depths[v] << width
+        pairs += depths[p] * below
+        depths[p] += below
+    if g.edge_count == n:  # connected with one cycle: the core is that cycle
+        pairs += cycle_pairs([depths[v] for v in cycle_order(masks, alive)], width)
+    else:  # a tree centre, or a core with several cycles
+        inner = [[y for y in nbrs if alive >> y & 1] for nbrs in g.adj] if peeled else g.adj
+        twice = [0] * n  # core pairs by distance, counted from both ends
+        for i in range(n):
+            if not alive >> i & 1:
+                continue
+            dist, queue = _bfs(inner, i)  # the core holds every shortest path between its vertices
+            trees = [0] * (dist[queue[-1]] + 1)  # the core trees by distance from i
+            for y in queue:
+                trees[dist[y]] += depths[y]
+            for d in range(1, len(trees)):
+                twice[d] += depths[i] * trees[d]
+        pairs += sum(c << (width * d) for d, c in enumerate(twice)) >> 1
+    raw = pairs.to_bytes(n * size, "little")  # every distance is below n
+    coefs = (int.from_bytes(raw[d * size : (d + 1) * size], "little") for d in range(1, n))
+    # a connected graph has pairs at every distance up to its diameter, none beyond
+    return DistanceDistribution(dict(enumerate(takewhile(bool, coefs), 1)), n)
 
 
 def is_unicyclic(g: Graph) -> bool:
@@ -252,10 +309,11 @@ def is_unicyclic(g: Graph) -> bool:
 
 
 def peel_leaves(masks: Sequence[int]) -> tuple[int, list[tuple[int, int]]]:
-    """Strip leaves layer by layer from a connected graph with at most one
-    cycle (adjacency bitmasks) until none is left (a cycle remains) or at most
-    two vertices are (a tree centre).  Returns the survivors' bitmask and each
-    peeled vertex's (vertex, parent) pair in peel order, children first."""
+    """Strip leaves layer by layer from a connected graph (adjacency
+    bitmasks) down to its core: until no leaf is left (a cycle, or the
+    2-core of a graph with several cycles) or, in a tree, until at most two
+    vertices are (its centre).  Returns the core's bitmask and each peeled
+    vertex's (vertex, parent) pair in peel order, children first."""
     n = len(masks)
     deg = [m.bit_count() for m in masks]
     tree = sum(deg) == 2 * n - 2
@@ -276,24 +334,27 @@ def peel_leaves(masks: Sequence[int]) -> tuple[int, list[tuple[int, int]]]:
     return alive, peeled
 
 
-def find_cycle(g: Graph) -> CycleInfo:
-    """The unique cycle of a unicyclic graph: the survivors of peel_leaves.
-
-    They are returned in cyclic order starting from the smallest label,
-    stepping first toward its smaller surviving neighbour.
-    """
-    if not is_unicyclic(g):
-        raise NotUnicyclicError(
-            f"graph with n={g.n}, m={g.edge_count} is not connected-unicyclic"
-        )
-    masks = g.adjacency_masks()
-    alive = peel_leaves(masks)[0]
+def cycle_order(masks: Sequence[int], alive: int) -> list[int]:
+    """The vertices of ``alive``, a cycle in the graph of ``masks``, in
+    cyclic order from the smallest label, stepping first toward its
+    smaller neighbour on the cycle."""
     start = (alive & -alive).bit_length() - 1
     nbrs = masks[start] & alive
     order = [start, (nbrs & -nbrs).bit_length() - 1]
     for _ in range(alive.bit_count() - 2):  # each step leaves the previous vertex
         order.append((masks[order[-1]] & alive & ~(1 << order[-2])).bit_length() - 1)
-    return CycleInfo(tuple(order))
+    return order
+
+
+def find_cycle(g: Graph) -> CycleInfo:
+    """The unique cycle of a unicyclic graph: the core left by peel_leaves,
+    in ``cycle_order``."""
+    if not is_unicyclic(g):
+        raise NotUnicyclicError(
+            f"graph with n={g.n}, m={g.edge_count} is not connected-unicyclic"
+        )
+    masks = g.adjacency_masks()
+    return CycleInfo(tuple(cycle_order(masks, peel_leaves(masks)[0])))
 
 
 def _pendant_walk(g: Graph, start: int, step: int) -> list[int]:

@@ -1,7 +1,10 @@
 """Distance-based topological indices, all computed from the distance distribution.
 
 Every index here is sum-over-pairs of some weight of the pairwise distance,
-so one BFS pass per graph (the distance distribution) serves every weight.
+so one distance distribution per graph serves every weight.  The
+distribution comes from ``graphs.distance_distribution``, which peels the
+leaves, folds the hanging trees as packed depth polynomials and searches
+only the core that remains.
 Integer-valued weights are accumulated exactly.  Hyper-Wiener and
 Tratch-Stankevich-Zefirov weight distance d by the binomials C(d+1, 2) and
 C(d+2, 3), so both are integer sums over one distribution.

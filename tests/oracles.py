@@ -6,7 +6,8 @@ paths are checked against a second route.  ``backtrack_canonical_form`` is
 the general-purpose canonical form the package used before its leaf-peeling
 class key, kept here as the isomorphism oracle for it, and
 ``bfs_major_vertex_report`` is the distance-based terminal rule the package
-used before its pendant-path walk.
+used before its pendant-path walk.  ``bfs_distance_distribution`` is the
+per-source BFS distribution the package used before its leaf-peeling kernel.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 import networkx as nx
 
-from wienerbounds.graphs import Graph, MajorVertexReport, bfs_distances
+from wienerbounds.graphs import DistanceDistribution, Graph, MajorVertexReport, bfs_distances
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -35,6 +36,20 @@ def pair_distances(g: Graph) -> dict[tuple[int, int], int]:
         for v in range(u + 1, g.n):
             out[(u, v)] = lengths[v]
     return out
+
+
+def bfs_distance_distribution(g: Graph) -> DistanceDistribution:
+    """Oracle: the distance distribution from one BFS per vertex, the way
+    the package built it before its leaf-peeling kernel.  Raises
+    DisconnectedGraphError, through ``bfs_distances`` from vertex 0, on a
+    disconnected graph."""
+    counts: dict[int, int] = {}
+    for s in range(g.n):
+        dist = bfs_distances(g, s)
+        for v in range(s + 1, g.n):
+            d = dist[v]
+            counts[d] = counts.get(d, 0) + 1
+    return DistanceDistribution(counts, g.n)
 
 
 def distance_counts(g: Graph) -> dict[int, int]:

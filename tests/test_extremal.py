@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -24,6 +26,7 @@ from wienerbounds.extremal import (
 )
 from wienerbounds.families import cycle, tadpole, triangle_star
 from wienerbounds.graphs import (
+    DisconnectedGraphError,
     Graph,
     bfs_distances,
     distance_distribution,
@@ -154,6 +157,13 @@ class TestVerifyTheorem:
         ):
             with pytest.raises(ValueError, match="n >= 3" if n < 3 else "class-engine cap 16"):
                 call()
+
+    def test_importing_the_package_does_not_import_multiprocessing(self):
+        """Only a fan-out over workers needs it, and verify below
+        CLASS_FANOUT_MIN_N never fans out."""
+        probe = "import sys, wienerbounds.cli; print('multiprocessing' in sys.modules)"
+        r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert (r.returncode, r.stdout) == (0, "False\n")
 
     def test_parallel_matches_serial(self, monkeypatch):
         serial = verify_theorem(6, PowerWeight(1), jobs=1)
@@ -304,6 +314,22 @@ class TestTerminalMerge:
             assert moved.n == g.n and is_unicyclic(moved)
             assert generalized_wiener(moved, h).value > generalized_wiener(g, h).value
             done += 1
+
+    def test_disconnected_input_raises(self):
+        g = Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (1, 2), (5, 6)])
+        with pytest.raises(DisconnectedGraphError):
+            apply_terminal_merge(g, 0, 3, 4)
+
+    def test_checks_only_its_two_vertices(self, monkeypatch):
+        """The merge walks u1 and u2 to w itself: local search builds one
+        major-vertex report per step, not a second one inside each merge."""
+        calls = []
+        real = extremal.major_vertex_report
+        monkeypatch.setattr(extremal, "major_vertex_report", lambda g: calls.append(g) or real(g))
+        rng = random.Random(1)
+        for _ in range(5):
+            local_search_max(random_unicyclic(40, rng), PowerWeight(1))
+        assert len(calls) == 78
 
 
 class TestTailRebalance:
