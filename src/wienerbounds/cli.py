@@ -3,7 +3,8 @@
 Subcommands: compute, construct, closed-form, enumerate, verify, lemmas,
 search.  Exit codes: 0 success (and, for verify/lemmas, every claim
 holding), 1 claim violation (the counterexample is part of the report),
-2 usage or input error.  Data goes to stdout, diagnostics to stderr.
+2 usage or input error, 141 stdout closed early (128 + SIGPIPE, nothing
+printed).  Data goes to stdout, diagnostics to stderr.
 Exact integer values serialize as decimal strings in JSON so
 consumers never round them through floats.
 """
@@ -304,12 +305,16 @@ def _cmd_search(args) -> int:
         )
 
     start_value = generalized_wiener(g, h)
-    result = extremal.local_search_max(g, h, on_move=on_move)
+    payload = {"weight": h.description, "initial_value": start_value.to_json_value()}
+    try:
+        result = extremal.local_search_max(g, h, on_move=on_move)
+    except extremal.ProofMoveError as exc:  # a move that fails is a claim violation
+        _emit_json({**payload, "moves": moves, "violation": str(exc)})
+        return CLAIM_VIOLATION
     final_value = generalized_wiener(result, h)
     _emit_json(
         {
-            "weight": h.description,
-            "initial_value": start_value.to_json_value(),
+            **payload,
             "final_value": final_value.to_json_value(),
             "moves": moves,
             "final_edges": [list(e) for e in result.edges()],
@@ -387,10 +392,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return USAGE_ERROR if exc.code not in (0,) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the exit-time flush
+        return code
     except ValueError as exc:  # GraphError, WeightError and EnumerationCapError among them
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:
+        # the reader went away: what is still buffered goes to devnull, and
+        # the exit code is the shell's for a writer killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + 13
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ from .graphs import (
     DisconnectedGraphError,
     Graph,
     GraphError,
+    NotUnicyclicError,
     _pendant_walk,
     bfs_distances,
     find_cycle,
@@ -438,34 +439,15 @@ class ProofMove:
     vertices: tuple[int, ...]
 
 
-def _pendant_segment(g: Graph, anchor: int, leaf: int) -> list[int]:
-    """Vertices of the pendant path from ``anchor`` (exclusive) to ``leaf``,
-    ordered leaf-last; every interior vertex must have degree 2."""
-    if g.degree(leaf) != 1:
-        raise ProofMoveError(f"vertex {leaf} is not an end-vertex")
-    walk = _pendant_walk(g, leaf, g.adj[leaf][0])
-    if anchor not in walk:
-        raise ProofMoveError(f"path from {leaf} toward {anchor} branches at vertex {walk[-1]}")
-    return walk[: walk.index(anchor)][::-1]  # anchor side first
-
-
-def _relocate_segment(g: Graph, anchor: int, leaf: int, dest: int) -> Graph:
-    """Detach the pendant path (anchor, leaf] and re-attach it beyond ``dest``.
-
-    The detached labels are reused in ascending order along the new path, so
-    the result is deterministic and has the same vertex count.
-    """
-    seg = _pendant_segment(g, anchor, leaf)
-    if dest in seg or dest == anchor:
-        raise ProofMoveError(f"destination {dest} lies on the moved path")
-    removed = set()
-    chain = [anchor] + seg
-    for a, b in zip(chain, chain[1:]):
-        removed.add((min(a, b), max(a, b)))
-    new_labels = sorted(seg)
+def _relocate(g: Graph, path: list[int], dest: int) -> Graph:
+    """Detach the pendant path ``path`` (anchor first, leaf last) from its
+    anchor and re-attach it beyond ``dest``.  The detached labels are reused
+    in ascending order along the new path, so the result is deterministic
+    and has the same vertex count."""
+    removed = {(min(a, b), max(a, b)) for a, b in zip(path, path[1:])}
     edges = [e for e in g.edges() if e not in removed]
     attach = dest
-    for v in new_labels:
+    for v in sorted(path[1:]):
         edges.append((min(attach, v), max(attach, v)))
         attach = v
     return Graph.from_edges(g.n, edges)
@@ -477,27 +459,29 @@ def apply_terminal_merge(g: Graph, w: int, u1: int, u2: int) -> Graph:
 
     Preserves the vertex count, and unicyclicity when the input is unicyclic.
     """
+    if not 0 <= w < g.n:
+        raise ProofMoveError(f"vertex {w} out of range for n={g.n}")
     if g.degree(w) < 3:
         raise ProofMoveError(f"vertex {w} has degree {g.degree(w)} < 3")
     if u1 == u2:
         raise ProofMoveError("the two terminal vertices must differ")
     if not is_connected(g):
         raise DisconnectedGraphError("terminal merge needs a connected graph")
+    paths = []
     for u in (u1, u2):  # terminal: an end-vertex whose pendant walk ends at w
         leaf = 0 <= u < g.n and g.degree(u) == 1
-        if not (leaf and _pendant_walk(g, u, g.adj[u][0])[-1] == w):
+        if not (leaf and (walk := _pendant_walk(g, u, g.adj[u][0]))[-1] == w):
             raise ProofMoveError(f"vertex {u} is not a terminal vertex of {w}")
-    return _relocate_segment(g, w, u1, u2)
+        paths.append(walk[::-1])
+    return _relocate(g, paths[0], u2)
 
 
 def _cycle_tail(g: Graph, v: int, cycle: set[int]) -> list[int]:
-    """The pendant path hanging at cycle vertex ``v`` (degree 3), v excluded."""
+    """The pendant path hanging at cycle vertex ``v`` (degree 3), v first."""
     off = [y for y in g.adj[v] if y not in cycle]
     if g.degree(v) != 3 or len(off) != 1:
-        raise ProofMoveError(
-            f"vertex {v} must be a cycle vertex of degree 3 with one tail"
-        )
-    tail = _pendant_walk(g, v, off[0])[1:]
+        raise ProofMoveError(f"vertex {v} must be a cycle vertex of degree 3 with one tail")
+    tail = _pendant_walk(g, v, off[0])
     if g.degree(tail[-1]) != 1:
         raise ProofMoveError(f"tail at vertex {v} is not a path")
     return tail
@@ -506,41 +490,30 @@ def _cycle_tail(g: Graph, v: int, cycle: set[int]) -> list[int]:
 def apply_tail_rebalance(g: Graph, v1: int, v2: int) -> Graph:
     """Relocation step for two degree-3 cycle vertices with path tails.
 
-    With tail lengths l_i and outside-distance sums D_i (distances from v_i
-    to everything off both tails): when one tail is longer but its anchor has
-    the strictly smaller D, the length excess moves to the other tail's end;
-    otherwise the whole tail of the (D, l, label)-smaller anchor moves beyond
-    the other tail's end.  Either way the weighted index strictly grows for
-    strictly increasing weights.
+    Order the anchors by (D, l, label) into A < B, with l the tail length
+    and D the plain distance sum from the anchor to every vertex off both
+    tails.  When D_A < D_B but A's tail is longer, the length excess of A's
+    tail moves beyond the end of B's; otherwise A's whole tail does.  The
+    index need not grow, even under a strictly increasing weight (ROADMAP
+    item 2 has a 12-vertex class where it drops), so callers check it.
     """
-    if not is_unicyclic(g):
-        raise ProofMoveError("tail rebalance needs a unicyclic graph")
-    cycle = set(find_cycle(g).vertices)
+    try:
+        cycle = set(find_cycle(g).vertices)
+    except NotUnicyclicError:
+        raise ProofMoveError("tail rebalance needs a unicyclic graph") from None
     if v1 not in cycle or v2 not in cycle or v1 == v2:
         raise ProofMoveError(f"vertices {v1}, {v2} must be distinct cycle vertices")
-    tails = {v: _cycle_tail(g, v, cycle) for v in (v1, v2)}
-    lengths = {v: len(tails[v]) for v in (v1, v2)}
-    excluded = {v1, v2} | set(tails[v1]) | set(tails[v2])
-    dsums = {}
-    for v in (v1, v2):
-        dist = bfs_distances(g, v)
-        dsums[v] = sum(dist[x] for x in range(g.n) if x not in excluded)
-    d1, d2 = dsums[v1], dsums[v2]
-    l1, l2 = lengths[v1], lengths[v2]
-    if d1 < d2 and l1 > l2:
-        shorter, longer = v2, v1
-    elif d2 < d1 and l2 > l1:
-        shorter, longer = v1, v2
-    else:
-        # order anchors so the moved tail has (D, l, label) not above its peer
-        if (d1, l1, v1) <= (d2, l2, v2):
-            moved, other = v1, v2
-        else:
-            moved, other = v2, v1
-        return _relocate_segment(g, moved, tails[moved][-1], tails[other][-1])
-    # shift the length excess from the longer tail beyond the shorter one's end
-    excess_anchor = tails[longer][lengths[shorter] - 1]
-    return _relocate_segment(g, excess_anchor, tails[longer][-1], tails[shorter][-1])
+    tails = [_cycle_tail(g, v, cycle) for v in (v1, v2)]
+    excluded = set(tails[0] + tails[1])
+
+    def order(tail: list[int]) -> tuple[int, int, int]:
+        dist = bfs_distances(g, tail[0])
+        return sum(dist[x] for x in range(g.n) if x not in excluded), len(tail) - 1, tail[0]
+
+    ((da, la, _), ta), ((db, lb, _), tb) = sorted((order(t), t) for t in tails)
+    if da < db and la > lb:
+        ta = ta[lb:]  # only the length excess of A's tail moves
+    return _relocate(g, ta, tb[-1])
 
 
 def local_search_max(
@@ -574,16 +547,13 @@ def local_search_max(
             g_next = apply_terminal_merge(g, w, u1, u2)
         else:
             cycle = set(find_cycle(g).vertices)
-            deg3 = sorted(v for v in cycle if g.degree(v) == 3)
-            if any(g.degree(v) >= 4 for v in cycle) or any(
-                g.degree(v) >= 3 for v in range(g.n) if v not in cycle
-            ):
+            if any(v not in cycle or g.degree(v) > 3 for v in report.majors):
                 raise ProofMoveError(
                     "no applicable terminal merge although a degree violation remains"
                 )
-            if len(deg3) < 2:
+            if len(report.majors) < 2:
                 return g
-            v1, v2 = deg3[:2]
+            v1, v2 = sorted(report.majors)[:2]
             move = ProofMove("tail-rebalance", (v1, v2))
             g_next = apply_tail_rebalance(g, v1, v2)
         value_next = generalized_wiener(g_next, h).value

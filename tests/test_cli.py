@@ -702,6 +702,20 @@ class TestSearch:
         assert code == 2 and out == ""
         assert "only json" in err
 
+    def test_failed_move_is_a_claim_violation(self, capsys, tmp_path):
+        # G12, where the first tail rebalance shortens the distance tail
+        p = tmp_path / "g12.txt"
+        p.write_text("0 1\n0 5\n0 6\n1 2\n1 8\n2 3\n2 9\n3 4\n4 5\n4 10\n6 7\n10 11\n")
+        weight = "table:1,2,3,4,100,101,102,103,104,105,106"
+        code, out, err = run(capsys, "search", "--graph", str(p), "--weight", weight)
+        assert code == 1 and err == ""
+        payload = json.loads(out)
+        assert sorted(payload) == ["initial_value", "moves", "violation", "weight"]
+        assert payload["moves"] == []
+        assert "tail-rebalance at (0, 1)" in payload["violation"]
+        code, out, _ = run(capsys, "search", "--graph", str(p), "--weight", "power:1")
+        assert code == 0 and len(json.loads(out)["moves"]) == 4
+
     def test_search_rejects_tree(self, capsys, tmp_path):
         p = tmp_path / "p5.txt"
         p.write_text("0 1\n1 2\n2 3\n3 4\n")
@@ -718,6 +732,21 @@ class TestSubprocessEntryPoint:
         runs = [subprocess.run(cmd, capture_output=True) for _ in range(2)]
         assert all(r.returncode == 0 for r in runs)
         assert runs[0].stdout == runs[1].stdout != b""
+
+    def test_closed_stdout_ends_quietly(self):
+        import subprocess
+        import sys
+
+        p = subprocess.Popen(
+            [sys.executable, "-m", "wienerbounds", "enumerate", "--n", "7"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert p.stdout.readline().startswith(b'{"edges"')
+        p.stdout.close()
+        err = p.stderr.read()
+        assert p.wait(timeout=120) == 141
+        assert err == b""
 
     def test_help_exits_zero(self):
         import subprocess

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import subprocess
@@ -315,6 +316,11 @@ class TestTerminalMerge:
             assert generalized_wiener(moved, h).value > generalized_wiener(g, h).value
             done += 1
 
+    @pytest.mark.parametrize("w", [6, -6])
+    def test_rejects_w_outside_the_graph(self, w):
+        with pytest.raises(ProofMoveError, match=f"vertex {w} out of range for n=6"):
+            apply_terminal_merge(triangle_star(6), w, 3, 4)
+
     def test_disconnected_input_raises(self):
         g = Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (1, 2), (5, 6)])
         with pytest.raises(DisconnectedGraphError):
@@ -389,6 +395,71 @@ class TestTailRebalance:
     def test_rejects_degree_mismatch(self):
         with pytest.raises(ProofMoveError):
             apply_tail_rebalance(tadpole(4, 6), 0, 1)
+
+
+def tail_counts(g):
+    """T_k, the number of vertex pairs at distance >= k, for k = 2..n - 1."""
+    counts = distance_distribution(g).counts
+    return {k: sum(c for d, c in counts.items() if d >= k) for k in range(2, g.n)}
+
+
+def strictly_tail_dominates(new, old):
+    """Every T_k of ``new`` is at least that of ``old`` and one is larger: by
+    Abel summation, the index then grows under every increasing weight."""
+    a, b = tail_counts(new), tail_counts(old)
+    return all(a[k] >= b[k] for k in b) and a != b
+
+
+# G12: the one class up to n = 12 where a tail rebalance is not weight-free
+G12_KEY = ("((()))", "(())", "(())", "()", "((()))", "()")
+G12_EDGES = [(0, 1), (0, 5), (0, 6), (1, 2), (1, 8), (2, 3), (2, 9), (3, 4), (4, 5), (4, 10),
+             (6, 7), (10, 11)]
+
+
+class TestMovesOnClassRepresentatives:
+    """Every move on every class representative, judged by tail dominance."""
+
+    def test_every_terminal_merge_strictly_tail_dominates(self):
+        merges = 0
+        for n in range(4, 11):
+            for g in enumerate_unicyclic_unlabeled(n):
+                report = major_vertex_report(g)
+                for w in sorted(report.multi_terminal_majors):
+                    for u1, u2 in itertools.permutations(report.terminals[w], 2):
+                        moved = apply_terminal_merge(g, w, u1, u2)
+                        assert strictly_tail_dominates(moved, g), (n, g.edges(), w, u1, u2)
+                        merges += 1
+        assert merges == 4382
+
+    def test_every_tail_rebalance_but_one_strictly_tail_dominates(self):
+        pairs = {}
+        failures = []
+        for n in range(4, 13):
+            pairs[n] = 0
+            for g in enumerate_unicyclic_unlabeled(n):
+                report = major_vertex_report(g)
+                cyc = set(find_cycle(g).vertices)
+                if report.multi_terminal_majors or any(
+                    v not in cyc or g.degree(v) != 3 for v in report.majors
+                ):
+                    continue
+                for v1, v2 in itertools.combinations(sorted(report.majors), 2):
+                    pairs[n] += 1
+                    out = apply_tail_rebalance(g, v1, v2)
+                    if not strictly_tail_dominates(out, g):
+                        failures.append((class_key(n, g.adjacency_masks()), (v1, v2), g, out))
+        assert pairs == {4: 0, 5: 1, 6: 6, 7: 12, 8: 35, 9: 71, 10: 168, 11: 332, 12: 752}
+        # the one failure is pinned: its T_5 drops by one
+        [(key, pair, g, out)] = failures
+        assert key == G12_KEY and pair == (0, 1)
+        assert sorted(g.edges()) == G12_EDGES
+        before, after = tail_counts(g), tail_counts(out)
+        assert distance_distribution(g).counts == {1: 12, 2: 16, 3: 17, 4: 12, 5: 7, 6: 2}
+        assert distance_distribution(out).counts == {
+            1: 12, 2: 16, 3: 17, 4: 13, 5: 5, 6: 2, 7: 1
+        }
+        assert after[5] == before[5] - 1
+        assert [k for k in before if after[k] < before[k]] == [5]
 
 
 class TestLocalSearch:
