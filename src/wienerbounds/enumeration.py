@@ -29,6 +29,7 @@ from random import Random
 from typing import Iterator, Sequence
 
 from .graphs import Graph, GraphError, cycle_order, cycle_pairs, is_connected, peel_leaves
+from .graphs import _coefficients, _field_width
 
 # The labeled scans stop here: n = 9 is 33,779,340 labeled unicyclic
 # graphs (OEIS A057500) and n = 10 is 880,107,840, hours on two workers.
@@ -307,13 +308,6 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
 # workers; each further n has about three times as many classes.
 MAX_CLASS_N = 16
 
-# Distance counts travel as polynomials packed into one int, coefficient d
-# in bits [16 d, 16 d + 16): products and sums of coefficients stay below
-# n^2 <= 2^16 for every n the engine takes.
-_BITS = 16
-_COEF = (1 << _BITS) - 1
-
-
 @dataclass(frozen=True)
 class _RootedTree:
     """One rooted tree: its size, AHU code, automorphism count, and as
@@ -344,8 +338,8 @@ def _level_sequences(m: int) -> Iterator[tuple[int, ...]]:
             seq[i] = seq[i - (p - q)]
 
 
-def _rooted_trees(max_size: int) -> list[_RootedTree]:
-    """Every rooted tree on 1..max_size vertices, sorted by AHU code.
+def _rooted_trees(max_size: int, width: int) -> list[_RootedTree]:
+    """Every rooted tree on 1..max_size vertices, sorted by AHU code; fields ``width`` bits apart.
 
     A tree's root subtrees are the runs of its level sequence that start at
     level 1; each is, one level down, the canonical sequence of a smaller
@@ -369,8 +363,8 @@ def _rooted_trees(max_size: int) -> list[_RootedTree]:
                 m,
                 "(" + "".join(sorted(k.code for k in kids)) + ")",
                 aut,
-                1 + (below << _BITS),
-                sum(k.pairs for k in kids) + (below << _BITS) + (across << 2 * _BITS),
+                1 + (below << width),
+                sum(k.pairs for k in kids) + (below << width) + (across << 2 * width),
             )
     return sorted(built.values(), key=lambda t: t.code)
 
@@ -439,7 +433,8 @@ def iter_unicyclic_classes(
 
 
 def _classes(n: int, shard: tuple[int, int]):
-    trees = _rooted_trees(n - 2)  # the other r - 1 >= 2 trees hold a vertex each
+    width = _field_width(n)
+    trees = _rooted_trees(n - 2, width)  # the other r - 1 >= 2 trees hold a vertex each
     by_size: list[list[int]] = [[] for _ in range(n - 1)]
     for rank, t in enumerate(trees):
         by_size[t.size].append(rank)
@@ -450,12 +445,11 @@ def _classes(n: int, shard: tuple[int, int]):
             index += 1
             if index % step != first:
                 continue
-            pairs = cycle_pairs([trees[j].depths for j in seq], _BITS)
+            pairs = cycle_pairs([trees[j].depths for j in seq], width)
             for j in seq:
                 aut *= trees[j].aut
                 pairs += trees[j].pairs
-            counts = tuple((pairs >> (_BITS * d)) & _COEF for d in range(n - 1))
-            yield r, tuple(trees[j].code for j in seq), aut, counts
+            yield r, tuple(trees[j].code for j in seq), aut, _coefficients(pairs, n - 1, width)
 
 
 def enumerate_unicyclic_unlabeled(n: int) -> Iterator[Graph]:

@@ -494,8 +494,8 @@ def apply_tail_rebalance(g: Graph, v1: int, v2: int) -> Graph:
     and D the plain distance sum from the anchor to every vertex off both
     tails.  When D_A < D_B but A's tail is longer, the length excess of A's
     tail moves beyond the end of B's; otherwise A's whole tail does.  The
-    index need not grow, even under a strictly increasing weight (ROADMAP
-    item 2 has a 12-vertex class where it drops), so callers check it.
+    index can drop even under a strictly increasing weight (the 12-vertex
+    class pinned in ``TestMovesOnClassRepresentatives``), so callers check it.
     """
     try:
         cycle = set(find_cycle(g).vertices)
@@ -546,11 +546,8 @@ def local_search_max(
             move = ProofMove("terminal-merge", (w, u1, u2))
             g_next = apply_terminal_merge(g, w, u1, u2)
         else:
-            cycle = set(find_cycle(g).vertices)
-            if any(v not in cycle or g.degree(v) > 3 for v in report.majors):
-                raise ProofMoveError(
-                    "no applicable terminal merge although a degree violation remains"
-                )
+            # no major is off the cycle or of degree > 3: the lowest major in such a
+            # hanging part has only bare paths below it, so it would have two terminals
             if len(report.majors) < 2:
                 return g
             v1, v2 = sorted(report.majors)[:2]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import takewhile
 from typing import Iterable, Iterator, Sequence
 
 # Vertex counts from outside input stop here, before any per-vertex
@@ -236,6 +235,22 @@ def is_connected(g: Graph) -> bool:
     return len(_bfs(g.adj, 0)[1]) == g.n
 
 
+def _field_width(n: int) -> int:
+    """Bits per packed coefficient on n vertices: the fewest whole bytes holding n(n - 1),
+    which bounds every folded value (depths <= n, pairs <= C(n, 2), twice that in the halved
+    core sum, ``_rooted_trees``' below² <= (n - 3)²) and leaves counts <= C(n, 2) a top bit."""
+    return max(8, ((n * (n - 1)).bit_length() + 7) // 8 * 8)
+
+
+def _coefficients(poly: int, count: int, width: int) -> tuple[int, ...]:
+    """The one decoder: coefficients 0..count-1 of ``poly``, ``width`` bits apart, little-endian."""
+    size = width // 8
+    raw = poly.to_bytes(count * size, "little")
+    if size == 1:
+        return tuple(raw)
+    return tuple([int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)])
+
+
 def cycle_pairs(depths: Sequence[int], width: int) -> int:
     """Pairs across the trees hung around a cycle, as a packed polynomial.
 
@@ -257,24 +272,20 @@ def cycle_pairs(depths: Sequence[int], width: int) -> int:
 def distance_distribution(g: Graph) -> DistanceDistribution:
     """Unordered pair counts by distance; requires connectivity.
 
-    ``peel_leaves`` strips the graph to its core, children first.  Each
-    vertex carries the depth polynomial of the tree it holds so far,
-    coefficient d counting its vertices d levels down, packed ``width`` bits
-    apart.  Folding v into its parent p adds D[p] * (D[v] << width): a
-    vertex a below v and one b below p are a + 1 + b apart.  Then
-    D[p] += D[v] << width.  Core vertices i and j pair their trees as
-    D[i] * D[j] shifted by d(i, j): by gap around a cycle (``cycle_pairs``),
-    or else from one BFS over the core per core vertex (a tree centre, or a
-    core with several cycles), which counts each pair from both ends and
-    halves the sum.  A coefficient counts pairs, at most C(n, 2) and twice
-    that before the halving, so whole bytes wide enough for n(n - 1) hold
-    it and decode in linear time.
+    ``peel_leaves`` strips the graph to its core, children first.  Each vertex
+    carries the depth polynomial of the tree it holds so far, coefficient d counting
+    its vertices d levels down, packed ``width`` bits apart (``_field_width``).
+    Folding v into its parent p adds D[p] * (D[v] << width): a vertex a below v and
+    one b below p are a + 1 + b apart.  Then D[p] += D[v] << width.  Core vertices i
+    and j pair their trees as D[i] * D[j] shifted by d(i, j): by gap around a cycle
+    (``cycle_pairs``), or else from one BFS over the core per core vertex (a tree
+    centre, or a core with several cycles), which counts each pair from both ends
+    and halves the sum.
     """
     n = g.n
     bfs_distances(g, 0)  # raises DisconnectedGraphError naming the least unreached vertex
     masks = g.adjacency_masks()
-    size = max(1, ((n * (n - 1)).bit_length() + 7) // 8)  # bytes per coefficient
-    width = 8 * size
+    width = _field_width(n)
     alive, peeled = peel_leaves(masks)
     depths = [1] * n
     pairs = 0
@@ -297,10 +308,8 @@ def distance_distribution(g: Graph) -> DistanceDistribution:
             for d in range(1, len(trees)):
                 twice[d] += depths[i] * trees[d]
         pairs += sum(c << (width * d) for d, c in enumerate(twice)) >> 1
-    raw = pairs.to_bytes(n * size, "little")  # every distance is below n
-    coefs = (int.from_bytes(raw[d * size : (d + 1) * size], "little") for d in range(1, n))
-    # a connected graph has pairs at every distance up to its diameter, none beyond
-    return DistanceDistribution(dict(enumerate(takewhile(bool, coefs), 1)), n)
+    coefs = _coefficients(pairs, -(-pairs.bit_length() // width), width)  # up to the diameter
+    return DistanceDistribution({d: c for d, c in enumerate(coefs) if c}, n)
 
 
 def is_unicyclic(g: Graph) -> bool:

@@ -10,7 +10,7 @@ import networkx as nx
 import pytest
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from wienerbounds import enumeration
+from wienerbounds import enumeration, graphs
 from wienerbounds.enumeration import (
     class_key,
     graph_from_masks,
@@ -28,9 +28,17 @@ import oracles
 JOBS = min(2, multiprocessing.cpu_count())
 
 # unicyclic classes (A001429) and labeled unicyclic graphs (A057500) on n vertices
-A001429 = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657, 11: 1806, 12: 5026}
+A001429 = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657, 11: 1806, 12: 5026,
+           13: 13999, 14: 39260}
 A057500 = {3: 1, 4: 15, 5: 222, 6: 3660, 7: 68295, 8: 1436568, 9: 33779340, 10: 880107840}
 A000081 = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]  # rooted trees on 1..10 vertices
+
+
+def a057500(n):
+    """A057500(n) = sum over j = 0..n-3 of (n - 1)! n^j / (2 j!), each term an exact integer."""
+    terms = [divmod(math.factorial(n - 1) * n**j, 2 * math.factorial(j)) for j in range(n - 2)]
+    assert all(rest == 0 for _q, rest in terms)
+    return sum(q for q, _rest in terms)
 
 
 def weights(n):
@@ -70,19 +78,19 @@ def test_examples_attain_the_reported_value(n):
             assert class_key(n, side.example) in side.classes
 
 
-@pytest.mark.parametrize("n", range(3, 13))
+@pytest.mark.parametrize("n", range(3, 15))
 def test_class_counts_match_A001429(n):
     keys = [key for _r, key, _aut, _counts in iter_unicyclic_classes(n)]
     assert len(keys) == len(set(keys)) == A001429[n]
 
 
-@pytest.mark.parametrize("n", range(3, 11))
+@pytest.mark.parametrize("n", range(3, 15))
 def test_orbit_sums_match_A057500_and_the_cycle_length_sum(n):
     total = cyclen_sum = 0
     for r, _key, aut, _counts in iter_unicyclic_classes(n):
         total += math.factorial(n) // aut
         cyclen_sum += r * math.factorial(n) // aut
-    assert total == A057500[n]
+    assert total == a057500(n) == A057500.get(n, total)
     # each labeled graph is r (tree, chord) pairs, one per cycle edge
     assert cyclen_sum == n ** (n - 2) * (n * (n - 1) // 2 - (n - 1))
 
@@ -114,15 +122,20 @@ def test_each_class_against_networkx(n):
 
 
 def test_rooted_trees_match_A000081_and_their_codes():
-    trees = enumeration._rooted_trees(len(A000081))
-    assert Counter(t.size for t in trees) == dict(enumerate(A000081, start=1))
-    codes = [t.code for t in trees]
-    assert codes == sorted(set(codes))
-    bits, coef = enumeration._BITS, enumeration._COEF
-    for t in trees:
-        # a rooted tree's pairs add up to C(size, 2) and its depths to its size
-        assert sum((t.pairs >> (bits * d)) & coef for d in range(t.size)) == math.comb(t.size, 2)
-        assert sum((t.depths >> (bits * d)) & coef for d in range(t.size)) == t.size
+    decoded = []
+    for width in (8, 16):  # the field width for n <= 16, and for n = 17
+        trees = enumeration._rooted_trees(len(A000081), width)
+        assert Counter(t.size for t in trees) == dict(enumerate(A000081, start=1))
+        codes = [t.code for t in trees]
+        assert codes == sorted(set(codes))
+        decoded.append([])
+        for t in trees:
+            depths, pairs = (graphs._coefficients(p, t.size, width) for p in (t.depths, t.pairs))
+            # a rooted tree's pairs add up to C(size, 2) and its depths to its size
+            assert sum(pairs) == math.comb(t.size, 2)
+            assert sum(depths) == t.size
+            decoded[-1].append((t.code, depths, pairs))
+    assert decoded[0] == decoded[1]
 
 
 def test_shards_take_every_kth_class():

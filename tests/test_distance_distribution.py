@@ -16,6 +16,7 @@ import pytest
 import oracles
 from wienerbounds.enumeration import graph_from_masks, iter_unicyclic_edge_masks, prufer_to_tree
 from wienerbounds.families import cycle, path, star
+from wienerbounds import graphs
 from wienerbounds.graphs import DisconnectedGraphError, Graph, distance_distribution, is_connected
 
 
@@ -89,12 +90,42 @@ def test_disconnected_names_the_least_unreachable_vertex():
 
 
 @pytest.mark.parametrize(
-    "g, expected",
-    [(star(600), {1: 599, 2: 179_101}), (complete(400), {1: 79_800})],
-    ids=["star600", "K400"],
+    "make, expected",
+    [
+        (lambda: star(600), {1: 599, 2: 179_101}),
+        (lambda: complete(400), {1: 79_800}),
+        (lambda: star(70_000), {1: 69_999, 2: 2_449_895_001}),
+    ],
+    ids=["star600", "K400", "star70000"],
 )
-def test_counts_above_16_bits(g, expected):
-    """Both have a count above 2^16, so a fixed 16-bit packing would carry."""
+def test_counts_above_16_bits(make, expected):
+    """Each has a count above 2^16, so a fixed 16-bit packing would carry.
+    The first two take 3-byte fields and star(70 000) 5-byte ones.  The
+    star's counts are n - 1 and C(n - 1, 2), checked without the oracle,
+    which would run 70,000 BFS."""
+    g = make()
     got = distance_distribution(g)
     assert got.counts == expected
-    assert got == oracles.bfs_distance_distribution(g)
+    if g.n <= 600:
+        assert got == oracles.bfs_distance_distribution(g)
+
+
+@pytest.mark.parametrize(
+    "n, width",
+    [(1, 8), (16, 8), (17, 16), (256, 16), (257, 24), (4_096, 24), (4_097, 32), (65_537, 40)],
+)
+def test_field_width_is_the_least_whole_bytes_holding_n_times_n_minus_1(n, width):
+    assert graphs._field_width(n) == width
+
+
+@pytest.mark.parametrize("size", range(1, 9))
+def test_decoder_matches_shift_and_mask(size):
+    """Distinct coefficients, each using its field's top and bottom bit,
+    come back in order for every whole-byte width."""
+    width = 8 * size
+    coefs = [(1 << (width - 1)) | (1 + 37 * d) % (1 << (width - 1)) for d in range(9)]
+    poly = sum(c << (width * d) for d, c in enumerate(coefs))
+    mask = (1 << width) - 1
+    expected = tuple((poly >> (width * d)) & mask for d in range(11))
+    assert expected == (*coefs, 0, 0)
+    assert graphs._coefficients(poly, 11, width) == expected

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import subprocess
 import sys
 
@@ -25,7 +26,7 @@ from wienerbounds.extremal import (
     verify_theorem,
     verify_theorem_many,
 )
-from wienerbounds.families import cycle, tadpole, triangle_star
+from wienerbounds.families import cycle, star, tadpole, triangle_star
 from wienerbounds.graphs import (
     DisconnectedGraphError,
     Graph,
@@ -316,6 +317,10 @@ class TestTerminalMerge:
             assert generalized_wiener(moved, h).value > generalized_wiener(g, h).value
             done += 1
 
+    def test_rejects_equal_terminals(self):
+        with pytest.raises(ProofMoveError, match="^the two terminal vertices must differ$"):
+            apply_terminal_merge(triangle_star(6), 0, 3, 3)
+
     @pytest.mark.parametrize("w", [6, -6])
     def test_rejects_w_outside_the_graph(self, w):
         with pytest.raises(ProofMoveError, match=f"vertex {w} out of range for n=6"):
@@ -396,6 +401,23 @@ class TestTailRebalance:
         with pytest.raises(ProofMoveError):
             apply_tail_rebalance(tadpole(4, 6), 0, 1)
 
+    # a triangle 0-1-2 with a tail 1-6 and a branching tail 0-3, 3-4, 3-5
+    BRANCHED = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (3, 5), (1, 6)])
+
+    @pytest.mark.parametrize(
+        "g, v1, v2, message",
+        [
+            (star(4), 0, 1, "tail rebalance needs a unicyclic graph"),
+            (BRANCHED, 1, 1, "vertices 1, 1 must be distinct cycle vertices"),
+            (BRANCHED, 1, 3, "vertices 1, 3 must be distinct cycle vertices"),
+            (BRANCHED, 0, 1, "tail at vertex 0 is not a path"),
+        ],
+        ids=["tree", "same-vertex", "off-cycle", "branching-tail"],
+    )
+    def test_refusals(self, g, v1, v2, message):
+        with pytest.raises(ProofMoveError, match=f"^{re.escape(message)}$"):
+            apply_tail_rebalance(g, v1, v2)
+
 
 def tail_counts(g):
     """T_k, the number of vertex pairs at distance >= k, for k = 2..n - 1."""
@@ -438,11 +460,11 @@ class TestMovesOnClassRepresentatives:
             pairs[n] = 0
             for g in enumerate_unicyclic_unlabeled(n):
                 report = major_vertex_report(g)
-                cyc = set(find_cycle(g).vertices)
-                if report.multi_terminal_majors or any(
-                    v not in cyc or g.degree(v) != 3 for v in report.majors
-                ):
+                if report.multi_terminal_majors:
                     continue
+                # with no two-terminal major, every major is a degree-3 cycle vertex
+                cyc = set(find_cycle(g).vertices)
+                assert all(v in cyc and g.degree(v) == 3 for v in report.majors), keys(g)
                 for v1, v2 in itertools.combinations(sorted(report.majors), 2):
                     pairs[n] += 1
                     out = apply_tail_rebalance(g, v1, v2)

@@ -79,6 +79,27 @@ class TestParsing:
         g = tadpole(4, 9)
         assert parse_edge_list(format_edge_list(g)) == g
 
+    @pytest.mark.parametrize(
+        "text, line_no, message",
+        [
+            ("n 3 4", 1, "bad or repeated header, expected 'n <count>'"),
+            ("n 3\nn 3", 2, "bad or repeated header, expected 'n <count>'"),
+            ("n x", 1, "bad vertex count 'x'"),
+            ("n 0", 1, "vertex count must be >= 1, got 0"),
+            ("-1 2", 1, "negative vertex label in '-1 2'"),
+            ("", None, "empty edge list and no 'n <count>' header"),
+        ],
+    )
+    def test_refusals_match_their_message_and_line(self, text, line_no, message):
+        with pytest.raises(GraphError) as err:
+            parse_edge_list(text)
+        if line_no is None:
+            assert not isinstance(err.value, EdgeListParseError)
+            assert str(err.value) == message
+        else:
+            assert err.value.line_no == line_no
+            assert str(err.value) == f"line {line_no}: {message}"
+
 
 class TestDistances:
     def test_path_endpoint(self):
