@@ -12,13 +12,22 @@ hanging tree into its parent as a packed depth polynomial, counting the
 pairs it closes on the way.  Pairs across two core vertices' trees are the
 product of their depth polynomials shifted by the core distance: a fold by
 gap around a cycle, one BFS per core vertex for any other core.
+
+A ``Graph`` never changes, so it derives each of these facts once, on first
+use: its connectivity (one BFS from vertex 0), its core (one leaf peel), its
+cycle and its distance distribution.  They live outside the dataclass
+fields, so they never enter ``==``, ``hash``, ``repr`` or a pickle, and the
+one cached distribution is handed to every caller, read-only.
 """
 
 from __future__ import annotations
 
 import operator
+import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 # Vertex counts from outside input stop here, before any per-vertex
 # allocation: a header "n 1000000000" or one huge label must not reserve 10^9
@@ -97,17 +106,58 @@ class Graph:
             masks[v] = m
         return masks
 
+    def __reduce__(self):
+        """Pickle the fields alone, never the facts derived from them."""
+        return Graph, (self.n, self.adj, self.edge_count)
+
+    # Facts derived on first use.  cached_property keeps each in the instance
+    # __dict__, not in a field; a derivation that raises keeps nothing, so a bad
+    # graph fails alike on every call.  Each fact is O(n) in size: the O(n^2)
+    # adjacency bitmasks are rebuilt where a derivation needs them.
+
+    @cached_property
+    def _connected(self) -> bool:
+        """Whether one BFS from vertex 0 reaches every vertex."""
+        return len(_bfs(self.adj, 0)[1]) == self.n
+
+    @cached_property
+    def _core(self) -> tuple[int, list[tuple[int, int]], list[int]]:
+        """``peel_leaves`` of this graph, which must be connected, and the
+        ``cycle_order`` of its core when that core is one cycle (else [])."""
+        masks = self.adjacency_masks()
+        alive, peeled = peel_leaves(masks)
+        return alive, peeled, cycle_order(masks, alive) if self.edge_count == self.n else []
+
+    @cached_property
+    def _cycle(self) -> CycleInfo:
+        if not is_unicyclic(self):
+            raise NotUnicyclicError(
+                f"graph with n={self.n}, m={self.edge_count} is not connected-unicyclic"
+            )
+        return CycleInfo(tuple(self._core[2]))
+
+    @cached_property
+    def _distribution(self) -> DistanceDistribution:
+        return _fold_distribution(self)
+
 
 @dataclass(frozen=True)
 class DistanceDistribution:
     """Counts of unordered vertex pairs at each distance k >= 1.
 
     For a connected graph the counts sum to n(n-1)/2 and counts[1] equals
-    the number of edges.
+    the number of edges.  ``counts`` is a read-only view of a private copy,
+    so one distribution can be shared by every caller.
     """
 
-    counts: dict[int, int]
+    counts: Mapping[int, int]
     n: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
+
+    def __reduce__(self):
+        return DistanceDistribution, (dict(self.counts), self.n)
 
     def total_pairs(self) -> int:
         return sum(self.counts.values())
@@ -232,7 +282,8 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(_bfs(g.adj, 0)[1]) == g.n
+    """Whether the graph is connected; one BFS from vertex 0 per graph."""
+    return g._connected
 
 
 def _field_width(n: int) -> int:
@@ -242,35 +293,53 @@ def _field_width(n: int) -> int:
     return max(8, ((n * (n - 1)).bit_length() + 7) // 8 * 8)
 
 
+# struct codes of the field sizes that one unpack reads whole, little-endian
+_STRUCT_CODES = {2: "H", 4: "I", 8: "Q"}
+
+
 def _coefficients(poly: int, count: int, width: int) -> tuple[int, ...]:
     """The one decoder: coefficients 0..count-1 of ``poly``, ``width`` bits apart, little-endian."""
     size = width // 8
     raw = poly.to_bytes(count * size, "little")
     if size == 1:
         return tuple(raw)
+    if size in _STRUCT_CODES:
+        return struct.unpack(f"<{count}{_STRUCT_CODES[size]}", raw)
     return tuple([int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)])
 
 
-def cycle_pairs(depths: Sequence[int], width: int) -> int:
+def cycle_pairs(depths: list[int], width: int) -> int:
     """Pairs across the trees hung around a cycle, as a packed polynomial.
 
     ``depths[i]`` is the depth polynomial of the tree at the i-th cycle
     vertex, in cyclic order, with coefficients ``width`` bits apart.  Trees
     ``gap`` steps apart pair at depth a + depth b + gap, so each gap adds
     the products of the depth polynomials that far apart, shifted by gap.
+    The ring starts just after the heaviest tree, so its large products
+    come last in each gap's sum and the cost does not depend on where the
+    ring was cut.
     """
     r = len(depths)
-    ring = list(depths) * 2
+    start = depths.index(max(depths)) + 1
+    ring = depths[start:] + depths[:start]
+    ring += ring
     pairs = 0
     for gap in range(1, r // 2 + 1):
         span = gap if 2 * gap == r else r  # a half-way pair once, not twice
-        across = sum(map(operator.mul, depths[:span], ring[gap : gap + span]))
+        across = sum(map(operator.mul, ring, ring[gap : gap + span]))  # stops after span
         pairs += across << (width * gap)
     return pairs
 
 
 def distance_distribution(g: Graph) -> DistanceDistribution:
-    """Unordered pair counts by distance; requires connectivity.
+    """Unordered pair counts by distance; requires connectivity.  Derived once
+    per graph (``_fold_distribution``), and every call returns that one
+    read-only distribution."""
+    return g._distribution
+
+
+def _fold_distribution(g: Graph) -> DistanceDistribution:
+    """The distance-distribution kernel behind ``distance_distribution``.
 
     ``peel_leaves`` strips the graph to its core, children first.  Each vertex
     carries the depth polynomial of the tree it holds so far, coefficient d counting
@@ -283,10 +352,10 @@ def distance_distribution(g: Graph) -> DistanceDistribution:
     and halves the sum.
     """
     n = g.n
-    bfs_distances(g, 0)  # raises DisconnectedGraphError naming the least unreached vertex
-    masks = g.adjacency_masks()
+    if not is_connected(g):
+        bfs_distances(g, 0)  # raises DisconnectedGraphError naming the least unreached vertex
     width = _field_width(n)
-    alive, peeled = peel_leaves(masks)
+    alive, peeled, cycle = g._core
     depths = [1] * n
     pairs = 0
     for v, p in peeled:
@@ -294,7 +363,7 @@ def distance_distribution(g: Graph) -> DistanceDistribution:
         pairs += depths[p] * below
         depths[p] += below
     if g.edge_count == n:  # connected with one cycle: the core is that cycle
-        pairs += cycle_pairs([depths[v] for v in cycle_order(masks, alive)], width)
+        pairs += cycle_pairs([depths[v] for v in cycle], width)
     else:  # a tree centre, or a core with several cycles
         inner = [[y for y in nbrs if alive >> y & 1] for nbrs in g.adj] if peeled else g.adj
         twice = [0] * n  # core pairs by distance, counted from both ends
@@ -357,13 +426,8 @@ def cycle_order(masks: Sequence[int], alive: int) -> list[int]:
 
 def find_cycle(g: Graph) -> CycleInfo:
     """The unique cycle of a unicyclic graph: the core left by peel_leaves,
-    in ``cycle_order``."""
-    if not is_unicyclic(g):
-        raise NotUnicyclicError(
-            f"graph with n={g.n}, m={g.edge_count} is not connected-unicyclic"
-        )
-    masks = g.adjacency_masks()
-    return CycleInfo(tuple(cycle_order(masks, peel_leaves(masks)[0])))
+    in ``cycle_order``.  Derived once per graph."""
+    return g._cycle
 
 
 def _pendant_walk(g: Graph, start: int, step: int) -> list[int]:
