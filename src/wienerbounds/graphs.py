@@ -14,8 +14,8 @@ product of their depth polynomials shifted by the core distance: a fold by
 gap around a cycle, one BFS per core vertex for any other core.
 
 A ``Graph`` never changes, so it derives each of these facts once, on first
-use: its connectivity (one BFS from vertex 0), its core (one leaf peel), its
-cycle and its distance distribution.  They live outside the dataclass
+use: its connectivity (one BFS from vertex 0), and its cycle and distance
+distribution (one leaf peel between them).  They live outside the dataclass
 fields, so they never enter ``==``, ``hash``, ``repr`` or a pickle, and the
 one cached distribution is handed to every caller, read-only.
 """
@@ -113,7 +113,8 @@ class Graph:
     # Facts derived on first use.  cached_property keeps each in the instance
     # __dict__, not in a field; a derivation that raises keeps nothing, so a bad
     # graph fails alike on every call.  Each fact is O(n) in size: the O(n^2)
-    # adjacency bitmasks are rebuilt where a derivation needs them.
+    # adjacency bitmasks are rebuilt where a derivation needs them, and the
+    # peeled pairs of the core go once the distribution is folded from them.
 
     @cached_property
     def _connected(self) -> bool:
@@ -123,7 +124,8 @@ class Graph:
     @cached_property
     def _core(self) -> tuple[int, list[tuple[int, int]], list[int]]:
         """``peel_leaves`` of this graph, which must be connected, and the
-        ``cycle_order`` of its core when that core is one cycle (else [])."""
+        ``cycle_order`` of its core when that core is one cycle (else []).
+        Kept only until ``_fold_distribution``, its last reader, is done."""
         masks = self.adjacency_masks()
         alive, peeled = peel_leaves(masks)
         return alive, peeled, cycle_order(masks, alive) if self.edge_count == self.n else []
@@ -378,6 +380,9 @@ def _fold_distribution(g: Graph) -> DistanceDistribution:
                 twice[d] += depths[i] * trees[d]
         pairs += sum(c << (width * d) for d, c in enumerate(twice)) >> 1
     coefs = _coefficients(pairs, -(-pairs.bit_length() // width), width)  # up to the diameter
+    if g.edge_count == n:
+        g._cycle  # the one part of the core that find_cycle still reads
+    g.__dict__.pop("_core", None)  # n peeled pairs that no later query reads
     return DistanceDistribution({d: c for d, c in enumerate(coefs) if c}, n)
 
 

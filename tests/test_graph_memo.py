@@ -86,6 +86,7 @@ def test_cached_distribution_equals_the_bfs_oracle():
         first = distance_distribution(g)
         assert first == oracles.bfs_distance_distribution(g), list(g.edges())
         assert distance_distribution(g) is first
+        assert "_core" not in g.__dict__  # the peeled pairs go once the fold is done
         assert indices.wiener(g).value == sum(d * c for d, c in first.counts.items())
 
 
