@@ -381,7 +381,7 @@ def _fold_distribution(g: Graph) -> DistanceDistribution:
         pairs += sum(c << (width * d) for d, c in enumerate(twice)) >> 1
     coefs = _coefficients(pairs, -(-pairs.bit_length() // width), width)  # up to the diameter
     if g.edge_count == n:
-        g._cycle  # the one part of the core that find_cycle still reads
+        g._cycle  # derive the cycle from this peel before its pairs go
     g.__dict__.pop("_core", None)  # n peeled pairs that no later query reads
     return DistanceDistribution({d: c for d, c in enumerate(coefs) if c}, n)
 
