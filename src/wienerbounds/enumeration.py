@@ -24,9 +24,8 @@ import itertools
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from random import Random
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .graphs import Graph, GraphError, cycle_order, cycle_pairs, is_connected, peel_leaves
 from .graphs import _coefficients, _field_width
@@ -308,8 +307,7 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
 # workers; each further n has about three times as many classes.
 MAX_CLASS_N = 16
 
-@dataclass(frozen=True)
-class _RootedTree:
+class _RootedTree(NamedTuple):
     """One rooted tree: its size, AHU code, automorphism count, and as
     packed polynomials its vertices by depth and its vertex pairs by distance."""
 
@@ -463,8 +461,7 @@ def enumerate_unicyclic_unlabeled(n: int) -> Iterator[Graph]:
 # exhaustive tree sweep for the path characterization
 
 
-@dataclass(frozen=True)
-class TreeScan:
+class TreeScan(NamedTuple):
     """Aggregate of one tree sweep: totals plus any counterexample sequences."""
 
     n: int

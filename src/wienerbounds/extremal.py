@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .closed_forms import tadpole_closed_form, triangle_star_closed_form
 from .enumeration import (
@@ -43,6 +42,7 @@ from .graphs import (
     major_vertex_report,
 )
 from .indices import IndexValue, generalized_wiener, index_value
+from .records import Record
 from .weights import Monotonicity, WeightFunction, classify_monotonicity
 
 
@@ -58,8 +58,7 @@ class ProofMoveError(ValueError):
 # exhaustive scan
 
 
-@dataclass
-class Extreme:
+class Extreme(Record):
     """One side of a scan: the extreme value so far, the ``class_key`` of each
     attaining isomorphism class, and the number of attaining labeled graphs.
 
@@ -68,10 +67,19 @@ class Extreme:
     depends on the sharding, and the labeled and class scans give equal sides.
     """
 
-    better: Callable[[object, object], bool]
-    value: object = None
-    classes: set = field(default_factory=set)
-    count: int = 0
+    _fields = ("better", "value", "classes", "count")
+
+    def __init__(
+        self,
+        better: Callable[[object, object], bool],
+        value: object = None,
+        classes: set | None = None,
+        count: int = 0,
+    ):
+        self.better = better
+        self.value = value
+        self.classes = set() if classes is None else classes
+        self.count = count
 
     @property
     def example(self) -> tuple[int, ...] | None:
@@ -97,13 +105,15 @@ class Extreme:
         return out
 
 
-@dataclass
-class WeightScan:
+class WeightScan(Record):
     """Per-weight aggregate of one exhaustive scan (mergeable across shards)."""
 
-    description: str
-    lo: Extreme = field(default_factory=lambda: Extreme(operator.lt))
-    hi: Extreme = field(default_factory=lambda: Extreme(operator.gt))
+    _fields = ("description", "lo", "hi")
+
+    def __init__(self, description: str, lo: Extreme | None = None, hi: Extreme | None = None):
+        self.description = description
+        self.lo = Extreme(operator.lt) if lo is None else lo  # each scan its own sides
+        self.hi = Extreme(operator.gt) if hi is None else hi
 
     # the flat names that scan callers read
     min_value = property(lambda self: self.lo.value)
@@ -120,8 +130,7 @@ class WeightScan:
         return WeightScan(self.description, self.lo.merged(other.lo), self.hi.merged(other.hi))
 
 
-@dataclass
-class ScanSummary:
+class ScanSummary(NamedTuple):
     """Whole-scan aggregate: totals plus one WeightScan per weight function."""
 
     n: int
@@ -262,8 +271,7 @@ def scan_extremes_parallel(
 # bound verification
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one min/max verification for one weight: the scan's totals
     and its WeightScan, and the bound claims checked against them.  The
     claims apply to a whole scan at n >= 6; a shard's report is a partial
@@ -431,8 +439,7 @@ def check_f3_dominance(
 # branch-relocation moves
 
 
-@dataclass(frozen=True)
-class ProofMove:
+class ProofMove(NamedTuple):
     """One applied relocation move, for tracing a local search."""
 
     kind: str  # "terminal-merge" or "tail-rebalance"

@@ -15,7 +15,7 @@ gap around a cycle, one BFS per core vertex for any other core.
 
 A ``Graph`` never changes, so it derives each of these facts once, on first
 use: its connectivity (one BFS from vertex 0), and its cycle and distance
-distribution (one leaf peel between them).  They live outside the dataclass
+distribution (one leaf peel between them).  They live outside its three
 fields, so they never enter ``==``, ``hash``, ``repr`` or a pickle, and the
 one cached distribution is handed to every caller, read-only.
 """
@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import operator
 import struct
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+from .records import FrozenRecord
 
 # Vertex counts from outside input stop here, before any per-vertex
 # allocation: a header "n 1000000000" or one huge label must not reserve 10^9
@@ -55,13 +56,13 @@ class NotUnicyclicError(GraphError):
     """The operation is only defined for connected graphs with one cycle."""
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(FrozenRecord):
     """Immutable simple graph: vertex count plus sorted adjacency lists."""
 
-    n: int
-    adj: tuple[tuple[int, ...], ...]
-    edge_count: int
+    _fields = ("n", "adj", "edge_count")
+
+    def __init__(self, n: int, adj: tuple[tuple[int, ...], ...], edge_count: int):
+        self.__dict__.update(n=n, adj=adj, edge_count=edge_count)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -143,8 +144,7 @@ class Graph:
         return _fold_distribution(self)
 
 
-@dataclass(frozen=True)
-class DistanceDistribution:
+class DistanceDistribution(FrozenRecord):
     """Counts of unordered vertex pairs at each distance k >= 1.
 
     For a connected graph the counts sum to n(n-1)/2 and counts[1] equals
@@ -152,11 +152,10 @@ class DistanceDistribution:
     so one distribution can be shared by every caller.
     """
 
-    counts: Mapping[int, int]
-    n: int
+    _fields = ("counts", "n")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
+    def __init__(self, counts: Mapping[int, int], n: int):
+        self.__dict__.update(counts=MappingProxyType(dict(counts)), n=n)
 
     def __reduce__(self):
         return DistanceDistribution, (dict(self.counts), self.n)
@@ -172,8 +171,7 @@ class DistanceDistribution:
         return self.counts.get(k, 0)
 
 
-@dataclass(frozen=True)
-class CycleInfo:
+class CycleInfo(NamedTuple):
     """The unique cycle of a unicyclic graph, in cyclic vertex order."""
 
     vertices: tuple[int, ...]
@@ -183,8 +181,7 @@ class CycleInfo:
         return len(self.vertices)
 
 
-@dataclass(frozen=True)
-class MajorVertexReport:
+class MajorVertexReport(NamedTuple):
     """Major vertices (degree >= 3) and their terminal end-vertices.
 
     An end-vertex u is terminal for major vertex v when u is strictly closer

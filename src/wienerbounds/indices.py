@@ -12,16 +12,14 @@ C(d+2, 3), so both are integer sums over one distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Union
+from typing import NamedTuple, Union
 
 from .graphs import DistanceDistribution, Graph, distance_distribution
 from .weights import Number, PowerWeight, QWienerWeight, WeightFunction
 
 
-@dataclass(frozen=True)
-class IndexValue:
+class IndexValue(NamedTuple):
     """An index result: exact integer or float, with a display name."""
 
     value: Number

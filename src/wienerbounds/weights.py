@@ -12,8 +12,9 @@ integer arithmetic; every other variant evaluates in double precision.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Union
+
+from .records import FrozenRecord
 
 Number = Union[int, float]
 
@@ -50,18 +51,19 @@ class WeightFunction:
             raise WeightError(f"weight functions are defined for integer k >= 1, got {k!r}")
 
 
-@dataclass(frozen=True)
-class PowerWeight(WeightFunction):
+class PowerWeight(FrozenRecord, WeightFunction):
     """h(k) = k**exponent.  Exact integers when the exponent is an int >= 0."""
 
-    exponent: Union[int, float]
+    _fields = ("exponent",)
 
-    @property
-    def exact(self) -> bool:  # type: ignore[override]
-        return isinstance(self.exponent, int) and self.exponent >= 0
+    def __init__(self, exponent: Union[int, float]):
+        exact = isinstance(exponent, int) and exponent >= 0
+        self.__dict__.update(exponent=exponent, exact=exact)
 
     def __call__(self, k: int) -> Number:
-        self._check_k(k)
+        # called once per distance of every index, so the k check is inline
+        if not isinstance(k, int) or k < 1:
+            self._check_k(k)
         if self.exact:
             return k**self.exponent
         return float(k) ** self.exponent
@@ -71,8 +73,7 @@ class PowerWeight(WeightFunction):
         return f"power:{self.exponent}"
 
 
-@dataclass(frozen=True)
-class QWienerWeight(WeightFunction):
+class QWienerWeight(FrozenRecord, WeightFunction):
     """q-bracket kernels, for q > 0, q != 1.
 
     variant 1: [k]_q
@@ -80,17 +81,16 @@ class QWienerWeight(WeightFunction):
     variant 3: [k]_q * q^k
     """
 
-    q: float
-    variant: int = 1
-    diameter: int | None = None
+    _fields = ("q", "variant", "diameter")
 
-    def __post_init__(self):
-        if not (self.q > 0) or self.q == 1:
-            raise WeightError(f"q must be positive and != 1, got {self.q}")
-        if self.variant not in (1, 2, 3):
-            raise WeightError(f"variant must be 1, 2 or 3, got {self.variant}")
-        if self.variant != 2 and self.diameter is not None:
+    def __init__(self, q: float, variant: int = 1, diameter: int | None = None):
+        if not (q > 0) or q == 1:
+            raise WeightError(f"q must be positive and != 1, got {q}")
+        if variant not in (1, 2, 3):
+            raise WeightError(f"variant must be 1, 2 or 3, got {variant}")
+        if variant != 2 and diameter is not None:
             raise WeightError("only variant 2 takes a diameter")
+        self.__dict__.update(q=q, variant=variant, diameter=diameter)
 
     def with_diameter(self, diameter: int) -> "QWienerWeight":
         if self.variant != 2:
@@ -117,15 +117,15 @@ class QWienerWeight(WeightFunction):
         return f"q{self.variant}:{self.q}"
 
 
-@dataclass(frozen=True)
-class TableWeight(WeightFunction):
+class TableWeight(FrozenRecord, WeightFunction):
     """Explicit value table for k = 1..len(values); evaluation beyond it errors."""
 
-    values: tuple[float, ...]
+    _fields = ("values",)
 
-    def __post_init__(self):
-        if not self.values:
+    def __init__(self, values: tuple[float, ...]):
+        if not values:
             raise WeightError("table weight needs at least one value")
+        self.__dict__["values"] = values
 
     def __call__(self, k: int) -> float:
         self._check_k(k)

@@ -1,7 +1,7 @@
 """The facts a ``Graph`` derives once: connectivity, core, cycle and distance
 distribution.
 
-They are kept outside the dataclass fields, so equality, hashing, repr and
+They are kept outside the three fields, so equality, hashing, repr and
 pickling see only the fields; a failed derivation keeps nothing; and each
 graph runs at most one BFS from vertex 0 and one leaf peel, whichever public
 functions ask for them and in whatever order.

@@ -34,10 +34,11 @@ class TestPower:
         assert isinstance(v, int) and v == 2401
 
     def test_rejects_bad_k(self):
-        with pytest.raises(WeightError):
-            PowerWeight(1)(0)
-        with pytest.raises(WeightError):
-            PowerWeight(1)(-3)
+        for exponent in (1, 0, -1, 0.5):
+            for k in (0, -1, -3, 1.5, "2"):
+                with pytest.raises(WeightError) as info:
+                    PowerWeight(exponent)(k)
+                assert str(info.value) == f"weight functions are defined for integer k >= 1, got {k!r}"
 
 
 class TestQBracket:
