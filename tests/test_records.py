@@ -127,10 +127,8 @@ CASES = {
     ),
 }
 # the records whose fields are all hashable, and the field of each frozen one
-HASHABLE = {
-    "Graph", "CycleInfo", "PowerWeight", "QWienerWeight", "TableWeight",
-    "IndexValue", "ProofMove", "_RootedTree", "TreeScan",
-}  # fmt: skip
+HASHABLE = {"Graph", "CycleInfo", "PowerWeight", "QWienerWeight", "TableWeight"}
+HASHABLE |= {"IndexValue", "ProofMove", "_RootedTree", "TreeScan"}
 FROZEN_FIELD = {
     "Graph": "n",
     "DistanceDistribution": "counts",
