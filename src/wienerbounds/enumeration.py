@@ -61,7 +61,10 @@ def _decode_prufer(seq: Sequence[int], n: int) -> tuple[list[int], list[int]]:
     """Linear-time Prufer decode of a labeled tree on n vertices.
 
     Returns the adjacency bitmasks (bit v of masks[u] set iff uv is an
-    edge) and the vertex degrees.
+    edge) and the vertex degrees.  ``prufer_to_tree``, ``random_unicyclic``
+    and ``_chord_closures`` read the masks.  The tree sweep decodes on its
+    own, in ``_terminal_branches``: it needs only the order in which leaves
+    are removed, and building masks it never reads was most of its time.
     """
     deg = [1] * n
     for s in seq:
@@ -480,6 +483,52 @@ class TreeScan(NamedTuple):
         )
 
 
+def _terminal_branches(seq: Sequence[int], n: int) -> bool:
+    """Whether the tree of the Prufer sequence ``seq`` has a major vertex
+    (degree >= 3) with two bare branches below it, rooted at n - 1.
+
+    A branch is bare when it is a path hanging from the major.  The sweep's
+    own decode builds no adjacency: it keeps the degrees, the ``left``
+    counts of ``_decode_prufer`` and, per vertex v, ``bare[v]``, the number
+    of v's children whose subtree is a bare path.  When a step removes leaf
+    l and joins it to s, every child of l is already joined, so the branch
+    from s through l is bare iff l has at most one child and that child's
+    branch is bare: ``bare[l] + 1 == deg[l] <= 2``.
+
+    The verdict is exact.  A bare branch below a major v is a pendant path,
+    so its leaf is terminal for v: every witness found is a real one.  A
+    deepest major vertex has only bare branches below it, and at least two
+    of them, so a witness is found iff the tree has a major vertex, the same
+    verdict as walking each leaf to its major.
+    """
+    deg = [1] * n
+    for s in seq:
+        deg[s] += 1
+    left = deg[:]
+    bare = [0] * n
+    ptr = 0
+    while left[ptr] != 1:
+        ptr += 1
+    leaf = ptr
+    for s in seq:
+        if bare[leaf] + 1 == deg[leaf] <= 2:
+            bare[s] += 1
+            if bare[s] == 2 and deg[s] > 2:
+                return True
+        left[s] -= 1
+        if left[s] == 1 and s < ptr:
+            leaf = s
+        else:
+            ptr += 1
+            while left[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    # The last edge, leaf to n - 1, never completes a first witness: n - 1
+    # is joined to all but one of its children by then, and a major has two
+    # bare ones among those or a major below them.
+    return False
+
+
 def scan_tree_path_property(
     n: int, shard: tuple[int, int] | None = None
 ) -> TreeScan:
@@ -487,39 +536,19 @@ def scan_tree_path_property(
     vertex with two or more terminal end-vertices.
 
     Paths have no degree >= 3 vertex at all, so their terminal structure is
-    empty by definition.  For every other tree, each leaf is walked to the
-    first vertex of degree >= 3 on its pendant path (in a tree this is its
-    unique strictly-nearest major vertex); a violation is recorded if no
-    major collects two leaves.  Returned sequences should always be empty.
+    empty by definition.  Every other tree is decoded once by
+    ``_terminal_branches``, which counts the bare branches below each vertex
+    without building adjacency masks; a violation is recorded if no major
+    has two.  Returned sequences should always be empty.
     """
     check_n(n, lo=2)
     violations: list[tuple[int, ...]] = []
     trees = 0
     paths = 0
-    rng = range(n)
     for seq in _prufer_sequences(n, shard):
         trees += 1
         if len(set(seq)) == n - 2:  # no repeated label: every degree <= 2
             paths += 1
-            continue
-        amask, deg = _decode_prufer(seq, n)
-        tcount = [0] * n
-        found = False
-        for u in rng:
-            if deg[u] != 1:
-                continue
-            prev = -1
-            x = u
-            while deg[x] < 3:
-                m = amask[x]
-                if prev >= 0:
-                    m &= ~(1 << prev)
-                prev = x
-                x = m.bit_length() - 1
-            tcount[x] += 1
-            if tcount[x] > 1:
-                found = True
-                break
-        if not found:
-            violations.append(tuple(seq))
+        elif not _terminal_branches(seq, n):
+            violations.append(seq)
     return TreeScan(n, trees, paths, tuple(violations))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import pickle
 import random
 
@@ -270,7 +271,7 @@ class TestTreeScan:
     def test_totals_and_no_violations(self, n):
         scan = scan_tree_path_property(n)
         assert scan.trees == n ** (n - 2)
-        assert scan.paths == (1 if n == 2 else __import__("math").factorial(n) // 2)
+        assert scan.paths == (1 if n == 2 else math.factorial(n) // 2)
         assert scan.violations == ()
 
     def test_sharded_merge_matches_full(self):
@@ -283,6 +284,29 @@ class TestTreeScan:
     def test_merge_rejects_mixed_n(self):
         with pytest.raises(ValueError):
             TreeScan(4, 1, 1, ()).merged(TreeScan(5, 1, 1, ()))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_terminal_branches_match_the_bfs_oracle(self, n):
+        for seq in itertools.product(range(n), repeat=n - 2):
+            report = oracles.bfs_major_vertex_report(prufer_to_tree(seq))
+            if len(set(seq)) == n - 2:  # a path: the sweep counts it without the check
+                assert not report.majors, seq
+            else:
+                assert enumeration._terminal_branches(seq, n) == bool(report.multi_terminal_majors), seq
+
+    def test_a_rejected_tree_is_reported_in_one_shard(self, monkeypatch):
+        bad = (0, 0, 1, 1)
+        check = enumeration._terminal_branches
+        monkeypatch.setattr(
+            enumeration, "_terminal_branches", lambda seq, n: seq != bad and check(seq, n)
+        )
+        clean = TreeScan(6, 6**4, math.factorial(6) // 2, ())
+        serial = scan_tree_path_property(6)
+        assert serial == clean._replace(violations=(bad,))
+        shards = [scan_tree_path_property(6, shard=(i, 3)) for i in range(3)]
+        assert [s.violations for s in shards].count((bad,)) == 1
+        assert sum(len(s.violations) for s in shards) == 1
+        assert shards[0].merged(shards[1]).merged(shards[2]) == serial
 
     @pytest.mark.parametrize("n", [10, 22])
     def test_keeps_the_labeled_cap(self, monkeypatch, n):
