@@ -300,12 +300,10 @@ class TestTreeScan:
         monkeypatch.setattr(
             enumeration, "_terminal_branches", lambda seq, n: seq != bad and check(seq, n)
         )
-        clean = TreeScan(6, 6**4, math.factorial(6) // 2, ())
         serial = scan_tree_path_property(6)
-        assert serial == clean._replace(violations=(bad,))
+        assert serial == TreeScan(6, 6**4, math.factorial(6) // 2, (bad,))
         shards = [scan_tree_path_property(6, shard=(i, 3)) for i in range(3)]
-        assert [s.violations for s in shards].count((bad,)) == 1
-        assert sum(len(s.violations) for s in shards) == 1
+        assert sorted(s.violations for s in shards) == [(), (), (bad,)]
         assert shards[0].merged(shards[1]).merged(shards[2]) == serial
 
     @pytest.mark.parametrize("n", [10, 22])
