@@ -44,7 +44,8 @@ MAX_EXACT_EXPONENT = 50
 
 
 def _emit_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True))
+    # a float that overflowed to inf or nan is no JSON: ValueError, exit 2
+    print(json.dumps(payload, sort_keys=True, allow_nan=False))
 
 
 def _emit_rows(rows: list[dict], fmt: str, header: Sequence[str] = ()) -> None:
@@ -397,6 +398,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code
     except ValueError as exc:  # GraphError, WeightError and EnumerationCapError among them
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except OverflowError as exc:  # a float weight beyond the range of a double
+        print(f"error: float weight overflow: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except BrokenPipeError:
         # the reader went away: what is still buffered goes to devnull, and

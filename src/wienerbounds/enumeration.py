@@ -57,19 +57,18 @@ def check_shard(shard: tuple[int, int] | None) -> None:
         raise ValueError(f"bad shard {shard[0]}/{shard[1]}: need 0 <= i < k")
 
 
-def _decode_prufer(seq: Sequence[int], n: int) -> tuple[list[int], list[int]]:
-    """Linear-time Prufer decode of a labeled tree on n vertices.
+def _decode_prufer(seq: Sequence[int], n: int) -> list[int]:
+    """Linear-time Prufer decode of a labeled tree on n vertices into its
+    adjacency bitmasks: bit v of masks[u] is set iff uv is an edge.
 
-    Returns the adjacency bitmasks (bit v of masks[u] set iff uv is an
-    edge) and the vertex degrees.  ``prufer_to_tree``, ``random_unicyclic``
-    and ``_chord_closures`` read the masks.  The tree sweep decodes on its
-    own, in ``_terminal_branches``: it needs only the order in which leaves
-    are removed, and building masks it never reads was most of its time.
+    ``left[v]`` starts at v's degree and counts v's edges not yet joined,
+    so v is a leaf at 1.  ``prufer_to_tree``, ``random_unicyclic`` and
+    ``_chord_closures`` call this.  The tree sweep decodes on its own, in
+    ``_terminal_branches``: it reads only the order of the leaves, not masks.
     """
-    deg = [1] * n
+    left = [1] * n
     for s in seq:
-        deg[s] += 1
-    left = deg[:]
+        left[s] += 1
     masks = [0] * n
     ptr = 0
     while left[ptr] != 1:
@@ -89,7 +88,7 @@ def _decode_prufer(seq: Sequence[int], n: int) -> tuple[list[int], list[int]]:
             leaf = ptr
     masks[leaf] |= 1 << (n - 1)
     masks[n - 1] |= 1 << leaf
-    return masks, deg
+    return masks
 
 
 def prufer_to_tree(seq: Sequence[int]) -> Graph:
@@ -99,7 +98,7 @@ def prufer_to_tree(seq: Sequence[int]) -> Graph:
     for s in seq:
         if not (0 <= s < n):
             raise ValueError(f"label {s} out of range 0..{n - 1}")
-    return graph_from_masks(n, _decode_prufer(seq, n)[0])
+    return graph_from_masks(n, _decode_prufer(seq, n))
 
 
 def _prufer_sequences(n: int, shard: tuple[int, int] | None) -> Iterator[tuple[int, ...]]:
@@ -138,7 +137,7 @@ def _chord_closures(
     of length d + 1.  Chords come in (u, v) order.
     """
     for seq in seqs:
-        amask = _decode_prufer(seq, n)[0]
+        amask = _decode_prufer(seq, n)
         for u in range(n - 2):
             above = -2 << u  # the vertices u + 1 .. n - 1
             chords = []
@@ -202,7 +201,7 @@ def random_unicyclic(n: int, rng: Random) -> Graph:
     if n < 3:
         raise ValueError(f"unicyclic graphs need n >= 3, got {n}")
     seq = [rng.randrange(n) for _ in range(n - 2)]
-    masks = _decode_prufer(seq, n)[0]
+    masks = _decode_prufer(seq, n)
     while True:
         u = rng.randrange(n)
         v = rng.randrange(n)
@@ -306,8 +305,8 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
 # the class engine: each isomorphism class once, without a labeled graph
 
 # The class engine stops here: n = 16 is 311,465 classes (OEIS A001429),
-# standing for about 1.6e18 labeled graphs and verified in about 6 s on two
-# workers; each further n has about three times as many classes.
+# about 1.6e18 labeled graphs, verified in about 6 s on two workers or one
+# (each repeats the whole walk); each further n has about three times as many.
 MAX_CLASS_N = 16
 
 class _RootedTree(NamedTuple):

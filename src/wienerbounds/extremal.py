@@ -155,18 +155,16 @@ def _weight_tables(n: int, weights: Sequence[WeightFunction]) -> list[list]:
 
 
 def _offer(tables: list, scans: list[WeightScan], counts, copies: int, key) -> None:
-    """Fold each weight over the unordered pair counts in the order d = 1,
-    2, ..., the one rule both scans share so that their float values agree
-    to the bit, and offer the value to both sides of its scan for ``copies``
-    labeled graphs.  ``key()`` gives the class key; it is called only when
-    a side ties or beats its running extreme, and at most once."""
+    """Fold each weight over the unordered pair counts left to right from
+    int 0, the one rule both scans share so that their float values agree to
+    the bit (``reduce``, as from Python 3.12 ``sum`` compensates rounding; a
+    zero count adds a zero, as every weight value is finite), and offer the value
+    to both sides of its scan for ``copies`` labeled graphs.  ``key()`` gives
+    the class key; it is called only when a side ties or beats its running
+    extreme, and at most once."""
     found = None
     for tab, sc in zip(tables, scans):
-        val = 0
-        for d in range(1, len(tab)):
-            c = counts[d]
-            if c:
-                val += c * tab[d]
+        val = reduce(operator.add, map(operator.mul, counts, tab), 0)
         for side in (sc.lo, sc.hi):
             if side.value is None or not side.better(side.value, val):
                 found = found or {key()}
@@ -188,7 +186,6 @@ def scan_extremes(
     graphs = 0
     cyclen_sum = 0
     counts = [0] * n
-    popcount = [bin(i).count("1") for i in range(1 << n)]
     for masks, cyclen in stream:
         graphs += 1
         cyclen_sum += cyclen
@@ -209,7 +206,7 @@ def scan_extremes(
                     break
                 seen |= m
                 d += 1
-                counts[d] += popcount[m & above]
+                counts[d] += (m & above).bit_count()
                 frontier = m
         _offer(tables, scans, counts, 1, lambda: class_key(n, masks))
     return ScanSummary(n, graphs, cyclen_sum, scans)

@@ -167,9 +167,6 @@ class DistanceDistribution(FrozenRecord):
     def max_distance(self) -> int:
         return max(self.counts) if self.counts else 0
 
-    def get(self, k: int) -> int:
-        return self.counts.get(k, 0)
-
 
 class CycleInfo(NamedTuple):
     """The unique cycle of a unicyclic graph, in cyclic vertex order."""

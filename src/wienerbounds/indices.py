@@ -26,9 +26,6 @@ class IndexValue(NamedTuple):
     mode: str  # "exact" or "float"
     index_name: str
 
-    def __float__(self) -> float:
-        return float(self.value)
-
     def to_json_value(self) -> Union[str, float]:
         """Exact values serialize as decimal strings to survive JSON consumers."""
         if self.mode == "exact":

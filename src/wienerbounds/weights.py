@@ -7,6 +7,7 @@ q-bracket variants, arbitrary finite tables).
 
 Power weights with a non-negative integer exponent evaluate in exact
 integer arithmetic; every other variant evaluates in double precision.
+No weight takes an inf or nan, and a value past a double raises OverflowError.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ class PowerWeight(FrozenRecord, WeightFunction):
     _fields = ("exponent",)
 
     def __init__(self, exponent: Union[int, float]):
+        if not abs(exponent) < float("inf"):  # false for inf and nan alike
+            raise WeightError(f"exponent must be finite, got {exponent}")
         exact = isinstance(exponent, int) and exponent >= 0
         self.__dict__.update(exponent=exponent, exact=exact)
 
@@ -84,8 +87,8 @@ class QWienerWeight(FrozenRecord, WeightFunction):
     _fields = ("q", "variant", "diameter")
 
     def __init__(self, q: float, variant: int = 1, diameter: int | None = None):
-        if not (q > 0) or q == 1:
-            raise WeightError(f"q must be positive and != 1, got {q}")
+        if not 0 < q < float("inf") or q == 1:
+            raise WeightError(f"q must be positive, finite and != 1, got {q}")
         if variant not in (1, 2, 3):
             raise WeightError(f"variant must be 1, 2 or 3, got {variant}")
         if variant != 2 and diameter is not None:
@@ -99,16 +102,17 @@ class QWienerWeight(FrozenRecord, WeightFunction):
 
     def __call__(self, k: int) -> float:
         self._check_k(k)
-        bracket = q_bracket(self.q, k)
+        bracket = q_bracket(self.q, k)  # q**k raises OverflowError past a double
         if self.variant == 1:
             return bracket
-        if self.variant == 3:
-            return bracket * self.q**k
-        if self.diameter is None:
+        if self.diameter is None and self.variant == 2:
             raise WeightError(
                 "variant 2 needs the graph diameter; call with_diameter(L) first"
             )
-        return bracket * self.q ** (self.diameter - k)
+        value = bracket * self.q ** (k if self.variant == 3 else self.diameter - k)
+        if value == float("inf"):  # the product overflows silently; refuse it as pow does
+            raise OverflowError(f"{self.description} overflows a double at k={k}")
+        return value
 
     @property
     def description(self) -> str:
@@ -123,8 +127,8 @@ class TableWeight(FrozenRecord, WeightFunction):
     _fields = ("values",)
 
     def __init__(self, values: tuple[float, ...]):
-        if not values:
-            raise WeightError("table weight needs at least one value")
+        if not values or not all(abs(v) < float("inf") for v in values):
+            raise WeightError(f"table weight needs one or more finite values, got {values}")
         self.__dict__["values"] = values
 
     def __call__(self, k: int) -> float:

@@ -8,11 +8,14 @@ class key, kept here as the isomorphism oracle for it, and
 ``bfs_major_vertex_report`` is the distance-based terminal rule the package
 used before its pendant-path walk.  ``bfs_distance_distribution`` is the
 per-source BFS distribution the package used before its leaf-peeling kernel.
+``egf_distance_totals`` counts the pairs at each distance over all labeled
+unicyclic graphs by generating functions alone, with no graph built.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import networkx as nx
@@ -118,6 +121,55 @@ def tadpole3_reduced(n: int, h) -> object:
     n h(1) + sum_{j=2}^{n-2} (n-j) h(j).  A second route to
     ``tadpole_closed_form(3, n, h)``, which is evaluated term by term."""
     return n * h(1) + sum((n - j) * h(j) for j in range(2, n - 1))
+
+
+def egf_distance_totals(n: int) -> list[int]:
+    """Unordered vertex pairs at each distance d = 0..n-2, summed over every
+    labeled unicyclic graph on n vertices, as n!/2 [x^n](A_d + B_d).
+
+    T(x) = x e^T(x) is the EGF of rooted labeled trees, T = sum k^(k-1) x^k/k!.
+    A pair (u, v) at distance d >= 1 is read as its u-v path with a rooted
+    tree hung on each vertex, and the cycle (the unicyclic EGF is
+    1/2 sum_{r>=3} T^r / r; Flajolet and Sedgewick, Analytic Combinatorics,
+    2009, section II.5).  Ordered pairs:
+
+    - A_d = (d + 1) T^(d+3) / (2 (1 - T)^2): u and v in the tree of one
+      cycle vertex c.  The d + 1 path vertices, the j >= 0 vertices from the
+      path's top to c, and the other r - 1 >= 2 cycle vertices in one of two
+      directions; d + 1 choices of the top.
+    - B_d = sum_{g=1}^{d} (d - g + 1) (T^(d+g+1) / (1 - T) + [g >= 2] T^(d+g) / 2):
+      u and v in the trees of two cycle vertices g steps apart, at depths
+      summing to d - g.  The far arc has at least g interior vertices, or
+      exactly g - 1 on the even cycle r = 2g, whose two arcs tie.
+    """
+    t = [Fraction(0)] + [Fraction(k ** (k - 1), math.factorial(k)) for k in range(1, n + 1)]
+
+    def times(a: list, b: list) -> list:  # the product, up to x^n
+        out = [Fraction(0)] * (n + 1)
+        for i, x in enumerate(a):
+            for j in range(n + 1 - i):
+                out[i + j] += x * b[j]
+        return out
+
+    powers = [[Fraction(1)] + [Fraction(0)] * n]  # T^0 .. T^2n; T^m = O(x^m)
+    for _ in range(2 * n):
+        powers.append(times(powers[-1], t))
+    geometric = [sum(p[i] for p in powers) for i in range(n + 1)]  # 1 / (1 - T)
+    squared = times(geometric, geometric)  # 1 / (1 - T)^2
+
+    def coef(m: int, series: list) -> Fraction:  # [x^n] T^m * series
+        return sum(powers[m][i] * series[n - i] for i in range(n + 1))
+
+    totals = [0]
+    for d in range(1, n - 1):
+        ordered = (d + 1) * coef(d + 3, squared) / 2 + sum(
+            (d - g + 1) * (coef(d + g + 1, geometric) + (g >= 2) * powers[d + g][n] / 2)
+            for g in range(1, d + 1)
+        )
+        unordered = math.factorial(n) * ordered / 2
+        assert unordered.denominator == 1
+        totals.append(int(unordered))
+    return totals
 
 
 def bfs_major_vertex_report(g: Graph) -> MajorVertexReport:

@@ -95,6 +95,18 @@ def test_orbit_sums_match_A057500_and_the_cycle_length_sum(n):
     assert cyclen_sum == n ** (n - 2) * (n * (n - 1) // 2 - (n - 1))
 
 
+@pytest.mark.parametrize("n", range(3, 15))
+def test_distance_totals_match_the_egf_identity(n):
+    """Each class's pair counts, times its n!/|Aut| labeled copies, summed
+    over the classes: the totals that generating functions give alone."""
+    totals = [0] * (n - 1)
+    for _r, _key, aut, counts in iter_unicyclic_classes(n):
+        copies = math.factorial(n) // aut
+        for d, c in enumerate(counts):
+            totals[d] += copies * c
+    assert totals == oracles.egf_distance_totals(n)
+
+
 @pytest.mark.parametrize("n", range(3, 8))
 def test_each_class_is_its_orbit_in_the_labeled_stream(n):
     orbit = Counter()

@@ -7,8 +7,13 @@ from pathlib import Path
 import pytest
 
 from wienerbounds.cli import CLOSED_FORM_MAX_N, LEMMAS_MAX_NMAX, MAX_EXACT_EXPONENT, main
-from wienerbounds.families import tadpole, triangle_star
+from wienerbounds.enumeration import MAX_CLASS_N
+from wienerbounds.families import cycle, tadpole, triangle_star
 from wienerbounds.graphs import MAX_VERTICES, format_edge_list, parse_edge_list
+
+# the class engine's first refused n, and the message that refuses it
+ABOVE_CLASS_CAP = MAX_CLASS_N + 1
+CLASS_CAP_TEXT = f"n={ABOVE_CLASS_CAP} exceeds the class-engine cap {MAX_CLASS_N}"
 
 
 @pytest.fixture
@@ -107,6 +112,51 @@ class TestCompute:
     def test_nothing_requested(self, capsys, g36_file):
         code, _, _ = run(capsys, "compute", "--graph", g36_file)
         assert code == 2
+
+
+class TestNonFiniteWeights:
+    """A float weight past the range of a double, or a non-finite literal, is
+    an input error: exit 2 before anything reaches stdout, which would
+    otherwise carry NaN or Infinity, tokens that no JSON reader accepts."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--n", "6", "--weight", "q1:1e200"],  # q**k raises OverflowError
+            ["verify", "--n", "5", "--weight", "q3:1e100"],  # [3]_q * q**3 overflows silently
+            ["--format", "csv", "verify", "--n", "5", "--weight", "q3:1e100"],
+            ["compute", "--weight", "q3:1e308"],
+            ["compute", "--weight", "q1:inf"],
+            ["compute", "--weight", "power:nan"],
+            ["compute", "--weight", "power:1e400"],
+            ["compute", "--weight", "table:1,2,3,inf"],
+            ["compute", "--all-named", "--q", "inf"],
+        ],
+        ids=["verify-q1-pow", "verify-q3-product", "verify-q3-product-csv", "compute-q3-pow",
+             "q1-inf", "power-nan", "power-1e400", "table-inf", "named-q-inf"],
+    )
+    def test_exits_2_with_empty_stdout(self, capsys, g36_file, argv):
+        if "compute" in argv:
+            argv = [*argv, "--graph", g36_file]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+    def test_an_index_past_a_double_is_refused_at_output(self, capsys, tmp_path):
+        # the 10 antipodal pairs of C_20 each weigh 10.0**308: every weight
+        # value is a double, their sum is not
+        path = tmp_path / "c20.txt"
+        path.write_text(format_edge_list(cycle(20)))
+        code, out, err = run(capsys, "compute", "--graph", str(path), "--weight", "power:308.0")
+        assert code == 2 and out == ""
+        assert "not JSON compliant" in err
+
+    def test_a_large_finite_weight_still_passes(self, capsys, g36_file):
+        code, out, _ = run(capsys, "compute", "--graph", g36_file, "--weight", "power:60.0")
+        assert code == 0
+        [row] = json.loads(out)
+        assert row["mode"] == "float"
+        assert row["value"] == pytest.approx(6 + 4 * 2**60 + 3 * 3**60 + 2 * 4**60, rel=1e-15)
 
 
 class TestConstruct:
@@ -349,9 +399,11 @@ class TestEnumerate:
             raise AssertionError("a rooted-tree table was built")
 
         monkeypatch.setattr(enumeration, "_rooted_trees", no_trees)
-        code, out, err = run(capsys, "enumerate", "--unlabeled", "--n", "17", *count_only)
+        code, out, err = run(
+            capsys, "enumerate", "--unlabeled", "--n", str(ABOVE_CLASS_CAP), *count_only
+        )
         assert code == 2 and out == ""
-        assert "n=17 exceeds the class-engine cap 16" in err
+        assert CLASS_CAP_TEXT in err
 
     def test_stream_json_lines(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--n", "4")
@@ -359,6 +411,14 @@ class TestEnumerate:
         assert code == 0 and len(lines) == 15
         first = json.loads(lines[0])
         assert len(first["edges"]) == 4
+
+    @pytest.mark.parametrize("fmt", ["csv", "plain"])
+    def test_stream_as_edge_tokens_outside_json(self, capsys, fmt):
+        _, out, _ = run(capsys, "enumerate", "--n", "4")
+        lines = [json.loads(line)["edges"] for line in out.splitlines()]
+        code, text, _ = run(capsys, "--format", fmt, "enumerate", "--n", "4")
+        assert code == 0
+        assert text == "".join(" ".join(f"{u}-{v}" for u, v in e) + "\n" for e in lines)
 
     def test_cap_exceeded(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "10", "--count-only")
@@ -408,10 +468,10 @@ class TestVerify:
             raise AssertionError("a weight table was requested")
 
         monkeypatch.setattr(extremal, "_weight_tables", forbidden)
-        argv = ["verify", "--n", "17", "--weight", "power:1", "--shard", "0/2"]
+        argv = ["verify", "--n", str(ABOVE_CLASS_CAP), "--weight", "power:1", "--shard", "0/2"]
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
-        assert "n=17 exceeds the class-engine cap 16" in err
+        assert CLASS_CAP_TEXT in err
 
     @pytest.mark.parametrize("n, k", [(6, 2), (6, 3), (14, 3)])
     def test_shards_add_up_to_the_full_report(self, capsys, n, k):
@@ -443,6 +503,16 @@ class TestVerify:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "bad shard" in err and "0 <= i < k" in err
+
+    @pytest.mark.parametrize("spec", ["1-2", "a/b", "1/2/3"])
+    @pytest.mark.parametrize(
+        "command",
+        [["verify", "--n", "6", "--weight", "power:1"], ["enumerate", "--n", "5", "--count-only"]],
+    )
+    def test_malformed_shard_spec_rejected(self, capsys, command, spec):
+        code, out, err = run(capsys, *command, "--shard", spec)
+        assert code == 2 and out == ""
+        assert f"bad shard spec {spec!r}, expected i/k" in err
 
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run(capsys, "verify", "--n", "6", "--weight", "power:2")
@@ -517,7 +587,7 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "n, message",
-        [("17", "n=17 exceeds the class-engine cap 16"), ("22", "n=22 exceeds"), ("2", "n >= 3")],
+        [(str(ABOVE_CLASS_CAP), CLASS_CAP_TEXT), ("22", "n=22 exceeds"), ("2", "n >= 3")],
     )
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_n_outside_the_scan_range_rejected_before_any_table_or_worker(

@@ -122,7 +122,7 @@ class TestLabeledEnumeration:
         with pytest.raises(ValueError, match=message):
             entry(n)
 
-    @pytest.mark.parametrize("n", [2, 17, 22])
+    @pytest.mark.parametrize("n", [2, enumeration.MAX_CLASS_N + 1, 22])
     @pytest.mark.parametrize(
         "entry", [enumeration.iter_unicyclic_classes, enumerate_unicyclic_unlabeled]
     )
@@ -131,7 +131,8 @@ class TestLabeledEnumeration:
             raise AssertionError("a rooted tree was built")
 
         monkeypatch.setattr(enumeration, "_rooted_trees", no_trees)
-        message = "n >= 3" if n < 3 else f"n={n} exceeds the class-engine cap 16"
+        cap = enumeration.MAX_CLASS_N
+        message = "n >= 3" if n < 3 else f"n={n} exceeds the class-engine cap {cap}"
         with pytest.raises(ValueError, match=message):
             entry(n)  # the call alone, never iterated
 

@@ -10,6 +10,7 @@ import pytest
 from wienerbounds import extremal
 from wienerbounds.closed_forms import tadpole_closed_form
 from wienerbounds.enumeration import (
+    MAX_CLASS_N,
     canonical_form,
     class_key,
     enumerate_unicyclic_unlabeled,
@@ -138,7 +139,7 @@ class TestVerifyTheorem:
             with pytest.raises(ValueError, match="n >= 3" if n < 3 else "enumeration cap 9"):
                 call()
 
-    @pytest.mark.parametrize("n", [2, 17, 22])
+    @pytest.mark.parametrize("n", [2, MAX_CLASS_N + 1, 22])
     def test_class_engine_refuses_bad_n_before_any_table_or_worker(self, monkeypatch, n):
         import multiprocessing
 
@@ -157,7 +158,9 @@ class TestVerifyTheorem:
             lambda: verify_theorem_many(n, [h], jobs=2),
             lambda: verify_theorem_many(n, [h], jobs=1),
         ):
-            with pytest.raises(ValueError, match="n >= 3" if n < 3 else "class-engine cap 16"):
+            with pytest.raises(
+                ValueError, match="n >= 3" if n < 3 else f"class-engine cap {MAX_CLASS_N}"
+            ):
                 call()
 
     def test_importing_the_package_does_not_import_multiprocessing(self):
@@ -222,6 +225,15 @@ class TestVerifyTheorem:
         assert (a.min_value, a.max_value) == (b.min_value, b.max_value)
         assert (a.argmin_count, a.argmax_count) == (b.argmin_count, b.argmax_count)
         assert sorted(a.argmin_masks) == sorted(b.argmin_masks)
+
+    def test_merge_refuses_a_different_n_or_weight(self):
+        part = extremal.scan_classes(5, [PowerWeight(1)])
+        with pytest.raises(ValueError, match="cannot merge scans for different n"):
+            part.merged(extremal.scan_classes(4, [PowerWeight(1)]))
+        with pytest.raises(ValueError, match="cannot merge scans of different weights"):
+            part.merged(extremal.scan_classes(5, [PowerWeight(2)]))
+        with pytest.raises(ValueError, match="cannot merge scans of different weights"):
+            part.per_weight[0].merged(extremal.scan_classes(5, [PowerWeight(-1)]).per_weight[0])
 
     @pytest.mark.parametrize("n, argmin, argmax", [(6, 60, 360), (7, 105, 2520)])
     def test_attaining_counts_are_orbit_sizes(self, n, argmin, argmax):

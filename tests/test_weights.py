@@ -29,6 +29,11 @@ class TestPower:
         assert not PowerWeight(-1).exact
         assert not PowerWeight(0.5).exact
 
+    @pytest.mark.parametrize("exponent", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_exponent_rejected(self, exponent):
+        with pytest.raises(WeightError, match="exponent must be finite"):
+            PowerWeight(exponent)
+
     def test_exact_values_are_ints(self):
         v = PowerWeight(4)(7)
         assert isinstance(v, int) and v == 2401
@@ -75,6 +80,22 @@ class TestQBracket:
             QWienerWeight(-0.5, 1)
         with pytest.raises(WeightError):
             QWienerWeight(0.5, 4)
+        with pytest.raises(WeightError):
+            QWienerWeight(float("inf"), 1)
+
+    @pytest.mark.parametrize("variant", [1, 3])
+    def test_only_variant_2_takes_a_diameter(self, variant):
+        with pytest.raises(WeightError, match="only variant 2 takes a diameter"):
+            QWienerWeight(0.5, variant, diameter=3)
+        with pytest.raises(WeightError, match="only variant 2 takes a diameter"):
+            QWienerWeight(0.5, variant).with_diameter(3)
+
+    @pytest.mark.parametrize("h", [QWienerWeight(1e100, 3), QWienerWeight(1e100, 2, diameter=5)])
+    def test_a_product_past_a_double_raises_as_pow_does(self, h):
+        # at k = 3, [3]_q is about 1e200 and q^3 (or q^(5-3)) at most 1e300:
+        # each factor is a double, their product is not
+        with pytest.raises(OverflowError, match="overflows a double at k=3"):
+            h(3)
 
 
 class TestTable:
@@ -90,6 +111,11 @@ class TestTable:
     def test_empty_rejected(self):
         with pytest.raises(WeightError):
             TableWeight(())
+
+    @pytest.mark.parametrize("values", [(1.0, float("inf")), (float("nan"),)])
+    def test_non_finite_value_rejected(self, values):
+        with pytest.raises(WeightError, match="finite values"):
+            TableWeight(values)
 
 
 class TestMonotonicity:
@@ -146,6 +172,7 @@ class TestSpecParsing:
             assert parse_weight_spec(parse_weight_spec(spec).description) == parse_weight_spec(spec)
 
     def test_rejects_garbage(self):
-        for bad in ("power", "power:x", "q4:2", "q2:0.5:1:2", "table:", "nope:1"):
+        for bad in ("power", "power:x", "q4:2", "q2:0.5:1:2", "table:", "nope:1",
+                    "power:nan", "power:1e400", "q1:inf", "q3:-inf", "table:1,inf"):
             with pytest.raises(WeightError):
                 parse_weight_spec(bad)
