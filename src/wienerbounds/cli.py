@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -54,6 +55,10 @@ def _emit_rows(rows: list[dict], fmt: str, header: Sequence[str] = ()) -> None:
     if fmt == "json":
         _emit_json(rows)
         return
+    for row in rows:  # refused as JSON refuses it: exit 2 before any row is written
+        for x in row.values():
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ValueError(f"float value {x} is out of range")
     out = csv.writer(sys.stdout, delimiter="," if fmt == "csv" else "\t", lineterminator="\n")
     if fmt == "csv":
         out.writerow(rows[0] if rows else header)

@@ -9,8 +9,10 @@ tree edges.  That chord is the cycle's lexicographically smallest edge, so
 each labeled unicyclic graph has exactly one such pair and the stream is
 duplicate-free without keeping a global seen-set.
 
-Sequence indices shard deterministically: shard (i, k) processes Prufer
-ranks congruent to i mod k, and per-shard aggregates merge associatively.
+Sequence indices shard deterministically: shard (i, k) of the stream
+processes Prufer ranks congruent to i mod k, shard (i, k) of the tree sweep
+the heads (first n - 3 labels) congruent to i mod k, and per-shard
+aggregates merge associatively.
 
 The class engine builds each isomorphism class of unicyclic graphs once,
 as rooted trees around a cycle, with its automorphism count and distance
@@ -64,7 +66,8 @@ def _decode_prufer(seq: Sequence[int], n: int) -> list[int]:
     ``left[v]`` starts at v's degree and counts v's edges not yet joined,
     so v is a leaf at 1.  ``prufer_to_tree``, ``random_unicyclic`` and
     ``_chord_closures`` call this.  The tree sweep decodes on its own, in
-    ``_terminal_branches``: it reads only the order of the leaves, not masks.
+    ``_terminal_branches``, from the degrees and least leaf it prepares once
+    per head: it reads only the order of the leaves, not masks.
     """
     left = [1] * n
     for s in seq:
@@ -482,17 +485,18 @@ class TreeScan(NamedTuple):
         )
 
 
-def _terminal_branches(seq: Sequence[int], n: int) -> bool:
-    """Whether the tree of the Prufer sequence ``seq`` has a major vertex
-    (degree >= 3) with two bare branches below it, rooted at n - 1.
+def _terminal_branches(head: Sequence[int], last: int, deg: list[int], first: int) -> bool:
+    """Whether the tree of the Prufer sequence ``head + (last,)``, with
+    degrees ``deg`` and least leaf ``first`` (both read only), has a major
+    vertex (degree >= 3) with two bare branches below it, rooted at n - 1.
 
     A branch is bare when it is a path hanging from the major.  The sweep's
-    own decode builds no adjacency: it keeps the degrees, the ``left``
-    counts of ``_decode_prufer`` and, per vertex v, ``bare[v]``, the number
-    of v's children whose subtree is a bare path.  When a step removes leaf
-    l and joins it to s, every child of l is already joined, so the branch
-    from s through l is bare iff l has at most one child and that child's
-    branch is bare: ``bare[l] + 1 == deg[l] <= 2``.
+    own decode builds no adjacency: it keeps the ``left`` counts of
+    ``_decode_prufer`` and, per vertex v, ``bare[v]``, the number of v's
+    children whose subtree is a bare path.  When a step removes leaf l and
+    joins it to s, every child of l is already joined, so the branch from s
+    through l is bare iff l has at most one child and that child's branch
+    is bare: ``bare[l] + 1 == deg[l] <= 2``.
 
     The verdict is exact.  A bare branch below a major v is a pendant path,
     so its leaf is terminal for v: every witness found is a real one.  A
@@ -500,16 +504,10 @@ def _terminal_branches(seq: Sequence[int], n: int) -> bool:
     of them, so a witness is found iff the tree has a major vertex, the same
     verdict as walking each leaf to its major.
     """
-    deg = [1] * n
-    for s in seq:
-        deg[s] += 1
     left = deg[:]
-    bare = [0] * n
-    ptr = 0
-    while left[ptr] != 1:
-        ptr += 1
-    leaf = ptr
-    for s in seq:
+    bare = [0] * len(deg)
+    ptr = leaf = first
+    for s in head:
         if bare[leaf] + 1 == deg[leaf] <= 2:
             bare[s] += 1
             if bare[s] == 2 and deg[s] > 2:
@@ -522,10 +520,11 @@ def _terminal_branches(seq: Sequence[int], n: int) -> bool:
             while left[ptr] != 1:
                 ptr += 1
             leaf = ptr
-    # The last edge, leaf to n - 1, never completes a first witness: n - 1
-    # is joined to all but one of its children by then, and a major has two
-    # bare ones among those or a major below them.
-    return False
+    # The step that joins leaf to last may complete the first witness; the
+    # last edge, leaf to n - 1, never does: n - 1 is joined to all but one
+    # of its children by then, and a major has two bare ones among those or
+    # a major below them.
+    return bare[leaf] + 1 == deg[leaf] <= 2 and bare[last] == 1 and deg[last] > 2
 
 
 def scan_tree_path_property(
@@ -534,20 +533,37 @@ def scan_tree_path_property(
     """Check over all labeled n-vertex trees that only paths lack a major
     vertex with two or more terminal end-vertices.
 
-    Paths have no degree >= 3 vertex at all, so their terminal structure is
-    empty by definition.  Every other tree is decoded once by
-    ``_terminal_branches``, which counts the bare branches below each vertex
-    without building adjacency masks; a violation is recorded if no major
-    has two.  Returned sequences should always be empty.
+    The sweep goes by head, the first n - 3 labels of a Prufer sequence:
+    per head it counts the degrees once and lists the fresh labels, those
+    the head leaves out.  A tree is a path iff no label repeats: a head of
+    n - 3 distinct labels and a fresh last label, counted without a decode.
+    Every other tree is decoded by ``_terminal_branches`` from its least
+    leaf, the least fresh label other than the last one, and is a violation
+    if no major has two bare branches.  Shard (i, k) takes heads i, i + k,
+    i + 2k, ... in rank order, each with all n last labels.  Returned
+    sequences should always be empty.
     """
     check_n(n, lo=2)
+    check_shard(shard)
+    i, k = shard or (0, 1)
+    if n == 2:  # one tree, the edge: a path with an empty sequence and no head
+        return TreeScan(2, int(i == 0), int(i == 0), ())
     violations: list[tuple[int, ...]] = []
     trees = 0
     paths = 0
-    for seq in _prufer_sequences(n, shard):
-        trees += 1
-        if len(set(seq)) == n - 2:  # no repeated label: every degree <= 2
-            paths += 1
-        elif not _terminal_branches(seq, n):
-            violations.append(seq)
+    for head in itertools.islice(itertools.product(range(n), repeat=n - 3), i, None, k):
+        deg = [1] * n
+        for s in head:
+            deg[s] += 1
+        fresh = [v for v in range(n) if deg[v] == 1]
+        simple = len(fresh) == 3  # n - 3 labels, none repeated
+        trees += n
+        for last in range(n):
+            if simple and deg[last] == 1:
+                paths += 1
+                continue
+            deg[last] += 1
+            if not _terminal_branches(head, last, deg, fresh[last == fresh[0]]):
+                violations.append((*head, last))
+            deg[last] -= 1
     return TreeScan(n, trees, paths, tuple(violations))

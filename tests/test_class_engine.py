@@ -120,17 +120,35 @@ def test_each_class_is_its_orbit_in_the_labeled_stream(n):
     assert {key: r for r, key, _aut, _c in classes} == cyclen
 
 
+def check_class(n, r, key, aut, counts, max_aut=None):
+    """One class against its representative: the key round trip, the cycle
+    length, the BFS distance counts and, unless it exceeds ``max_aut``, |Aut|
+    from networkx, which lists every automorphism."""
+    masks = representative_masks(key)
+    g = graph_from_masks(n, masks)
+    assert class_key(n, masks) == key
+    assert find_cycle(g).length == r
+    assert len(counts) == n - 1 and counts[0] == 0  # distances 0..n-2
+    assert {d: c for d, c in enumerate(counts) if c} == oracles.distance_counts(g)
+    if max_aut is None or aut <= max_aut:
+        ng = oracles.to_nx(g)
+        assert sum(1 for _ in GraphMatcher(ng, ng).isomorphisms_iter()) == aut
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_each_class_against_networkx(n):
     for r, key, aut, counts in iter_unicyclic_classes(n):
-        masks = representative_masks(key)
-        g = graph_from_masks(n, masks)
-        assert class_key(n, masks) == key
-        assert find_cycle(g).length == r
-        assert len(counts) == n - 1 and counts[0] == 0  # distances 0..n-2
-        assert {d: c for d, c in enumerate(counts) if c} == oracles.distance_counts(g)
-        ng = oracles.to_nx(g)
-        assert sum(1 for _ in GraphMatcher(ng, ng).isomorphisms_iter()) == aut
+        check_class(n, r, key, aut, counts)
+
+
+def test_classes_sampled_at_the_cap_against_networkx():
+    # every 40,000th class at the cap: at n = 16, 8 of the 311,465, with
+    # cycle lengths 3 to 6; one has an |Aut| of 725,760, too many to list
+    n = enumeration.MAX_CLASS_N
+    sample = list(iter_unicyclic_classes(n, (0, 40000)))
+    assert len(sample) >= 8
+    for r, key, aut, counts in sample:
+        check_class(n, r, key, aut, counts, max_aut=10_000)
 
 
 def test_rooted_trees_match_A000081_and_their_codes():

@@ -151,6 +151,19 @@ class TestNonFiniteWeights:
         assert code == 2 and out == ""
         assert "not JSON compliant" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    @pytest.mark.parametrize("command", ["compute", "closed-form"])
+    def test_an_index_past_a_double_is_refused_in_every_format(self, capsys, tmp_path, fmt, command):
+        if command == "compute":
+            path = tmp_path / "c20.txt"
+            path.write_text(format_edge_list(cycle(20)))
+            argv = ["compute", "--graph", str(path)]
+        else:
+            argv = ["closed-form", "--formula", "cycle", "--n", "20"]
+        code, out, err = run(capsys, "--format", fmt, *argv, "--weight", "power:308.0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
     def test_a_large_finite_weight_still_passes(self, capsys, g36_file):
         code, out, _ = run(capsys, "compute", "--graph", g36_file, "--weight", "power:60.0")
         assert code == 0

@@ -2,6 +2,7 @@ import itertools
 import math
 import pickle
 import random
+import types
 
 import networkx as nx
 import pytest
@@ -292,26 +293,47 @@ class TestTreeScan:
             report = oracles.bfs_major_vertex_report(prufer_to_tree(seq))
             if len(set(seq)) == n - 2:  # a path: the sweep counts it without the check
                 assert not report.majors, seq
-            else:
-                assert enumeration._terminal_branches(seq, n) == bool(report.multi_terminal_majors), seq
+                continue
+            deg = [1] * n
+            for s in seq:
+                deg[s] += 1
+            first = deg.index(1)  # the least leaf, where the decode starts
+            verdict = enumeration._terminal_branches(seq[:-1], seq[-1], deg, first)
+            assert verdict == bool(report.multi_terminal_majors), seq
 
-    def test_a_rejected_tree_is_reported_in_one_shard(self, monkeypatch):
-        bad = (0, 0, 1, 1)
+    @pytest.mark.parametrize(
+        "bad",
+        [(0, 0, 0, 0), (5, 5, 5, 5), (1, 1, 2, 0), (0, 0, 1, 1)],
+        # (1, 1, 2, 0): the last label is the head's least fresh label, so
+        # the decode starts at the next one
+        ids=["first-head", "last-head", "last-is-least-fresh", "inner-head"],
+    )
+    def test_a_rejected_tree_is_reported_in_one_shard(self, monkeypatch, bad):
         check = enumeration._terminal_branches
         monkeypatch.setattr(
-            enumeration, "_terminal_branches", lambda seq, n: seq != bad and check(seq, n)
+            enumeration,
+            "_terminal_branches",
+            lambda head, last, deg, first: (*head, last) != bad and check(head, last, deg, first),
         )
         serial = scan_tree_path_property(6)
         assert serial == TreeScan(6, 6**4, math.factorial(6) // 2, (bad,))
-        shards = [scan_tree_path_property(6, shard=(i, 3)) for i in range(3)]
-        assert sorted(s.violations for s in shards) == [(), (), (bad,)]
-        assert shards[0].merged(shards[1]).merged(shards[2]) == serial
+        for k in range(1, 5):
+            shards = [scan_tree_path_property(6, shard=(i, k)) for i in range(k)]
+            assert sorted(s.violations for s in shards) == [()] * (k - 1) + [(bad,)]
+            merged = shards[0]
+            for s in shards[1:]:
+                merged = merged.merged(s)
+            assert merged == serial
 
     @pytest.mark.parametrize("n", [10, 22])
     def test_keeps_the_labeled_cap(self, monkeypatch, n):
         def no_sequences(*args, **kwargs):
-            raise AssertionError("a Prufer sequence was generated")
+            raise AssertionError("a Prufer sequence or head was generated")
 
+        # the labeled stream's sequences, and the product and slice the sweep's heads come from
         monkeypatch.setattr(enumeration, "_prufer_sequences", no_sequences)
+        monkeypatch.setattr(
+            enumeration, "itertools", types.SimpleNamespace(product=no_sequences, islice=no_sequences)
+        )
         with pytest.raises(EnumerationCapError, match=f"n={n} exceeds the enumeration cap 9"):
             scan_tree_path_property(n)
