@@ -301,29 +301,28 @@ class TestTreeScan:
             verdict = enumeration._terminal_branches(seq[:-1], seq[-1], deg, first)
             assert verdict == bool(report.multi_terminal_majors), seq
 
-    @pytest.mark.parametrize(
-        "bad",
-        [(0, 0, 0, 0), (5, 5, 5, 5), (1, 1, 2, 0), (0, 0, 1, 1)],
-        # (1, 1, 2, 0): the last label is the head's least fresh label, so
+    def test_a_rejected_tree_is_reported_in_one_shard(self, monkeypatch):
+        # planted in the first head, the last head, an inner head, and a tree
+        # whose last label is its head's least fresh label (1, 1, 2, 0), so
         # the decode starts at the next one
-        ids=["first-head", "last-head", "last-is-least-fresh", "inner-head"],
-    )
-    def test_a_rejected_tree_is_reported_in_one_shard(self, monkeypatch, bad):
         check = enumeration._terminal_branches
-        monkeypatch.setattr(
-            enumeration,
-            "_terminal_branches",
-            lambda head, last, deg, first: (*head, last) != bad and check(head, last, deg, first),
-        )
-        serial = scan_tree_path_property(6)
-        assert serial == TreeScan(6, 6**4, math.factorial(6) // 2, (bad,))
-        for k in range(1, 5):
-            shards = [scan_tree_path_property(6, shard=(i, k)) for i in range(k)]
-            assert sorted(s.violations for s in shards) == [()] * (k - 1) + [(bad,)]
-            merged = shards[0]
-            for s in shards[1:]:
-                merged = merged.merged(s)
-            assert merged == serial
+        for bad in [(0, 0, 0, 0), (5, 5, 5, 5), (0, 0, 1, 1), (1, 1, 2, 0)]:
+            monkeypatch.setattr(
+                enumeration,
+                "_terminal_branches",
+                lambda head, last, deg, first, bad=bad: (
+                    (*head, last) != bad and check(head, last, deg, first)
+                ),
+            )
+            serial = scan_tree_path_property(6)
+            assert serial == TreeScan(6, 6**4, math.factorial(6) // 2, (bad,))
+            for k in range(1, 5):
+                shards = [scan_tree_path_property(6, shard=(i, k)) for i in range(k)]
+                assert sorted(s.violations for s in shards) == [()] * (k - 1) + [(bad,)], (bad, k)
+                merged = shards[0]
+                for s in shards[1:]:
+                    merged = merged.merged(s)
+                assert merged == serial
 
     @pytest.mark.parametrize("n", [10, 22])
     def test_keeps_the_labeled_cap(self, monkeypatch, n):
