@@ -28,7 +28,7 @@ from .closed_forms import (
 )
 from .graphs import Graph, GraphError, distance_distribution, format_edge_list, parse_edge_list
 from .indices import IndexValue, generalized_wiener, index_from_distribution, named_indices
-from .weights import PowerWeight, QWienerWeight, WeightError, parse_weight_spec
+from .weights import PowerWeight, parse_weight_spec
 
 USAGE_ERROR = 2
 CLAIM_VIOLATION = 1
@@ -262,10 +262,6 @@ def _cmd_verify(args) -> int:
     if not tol >= 0:  # also refuses nan
         raise ValueError(f"--tol {tol}: a tolerance cannot be negative")
     h = _parse_weight(args.weight)
-    if isinstance(h, QWienerWeight) and h.variant == 2 and h.diameter is None:
-        raise WeightError(
-            "verification needs a fixed weight function; use q2:Q:L with an explicit diameter"
-        )
     shard = _parse_shard(args.shard) if args.shard else None
     report = extremal.verify_theorem(args.n, h, jobs=jobs, rel_tol=tol, shard=shard)
     _emit_record(_report_payload(report, args.format), args.format)

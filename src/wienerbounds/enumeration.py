@@ -307,10 +307,11 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # the class engine: each isomorphism class once, without a labeled graph
 
-# The class engine stops here: n = 16 is 311,465 classes (OEIS A001429),
-# about 1.6e18 labeled graphs, verified in about 6 s on two workers or one
-# (each repeats the whole walk); each further n has about three times as many.
-MAX_CLASS_N = 16
+# The class engine stops here: n = 17 is 880,840 classes (OEIS A001429),
+# verified under power:1 in 13-17 s on two workers and 16-21 s on one, at
+# about 83 MB peak RSS on a 2-CPU machine (each worker repeats the whole
+# walk); each further n has about three times as many.
+MAX_CLASS_N = 17
 
 class _RootedTree(NamedTuple):
     """One rooted tree: its size, AHU code, automorphism count, and as

@@ -496,10 +496,10 @@ def apply_tail_rebalance(g: Graph, v1: int, v2: int) -> Graph:
 
     Order the anchors by (D, l, label) into A < B, with l the tail length
     and D the plain distance sum from the anchor to every vertex off both
-    tails.  When D_A < D_B but A's tail is longer, the length excess of A's
-    tail moves beyond the end of B's; otherwise A's whole tail does.  The
-    index can drop even under a strictly increasing weight (the 12-vertex
-    class pinned in ``TestMovesOnClassRepresentatives``), so callers check it.
+    tails; A's whole tail then moves beyond the leaf of B's.  The move is
+    not proven weight-free: on some graphs the index drops under a strictly
+    increasing weight (the 36-vertex residual pinned in ``test_extremal``),
+    so callers check it.
     """
     try:
         cycle = set(find_cycle(g).vertices)
@@ -514,9 +514,7 @@ def apply_tail_rebalance(g: Graph, v1: int, v2: int) -> Graph:
         dist = bfs_distances(g, tail[0])
         return sum(dist[x] for x in range(g.n) if x not in excluded), len(tail) - 1, tail[0]
 
-    ((da, la, _), ta), ((db, lb, _), tb) = sorted((order(t), t) for t in tails)
-    if da < db and la > lb:
-        ta = ta[lb:]  # only the length excess of A's tail moves
+    ta, tb = sorted(tails, key=order)
     return _relocate(g, ta, tb[-1])
 
 

@@ -107,7 +107,7 @@ class QWienerWeight(FrozenRecord, WeightFunction):
             return bracket
         if self.diameter is None and self.variant == 2:
             raise WeightError(
-                "variant 2 needs the graph diameter; call with_diameter(L) first"
+                f"weight {self.description} needs a fixed graph diameter L; give it as q2:Q:L"
             )
         value = bracket * self.q ** (k if self.variant == 3 else self.diameter - k)
         if value == float("inf"):  # the product overflows silently; refuse it as pow does

@@ -172,6 +172,42 @@ class TestNonFiniteWeights:
         assert row["value"] == pytest.approx(6 + 4 * 2**60 + 3 * 3**60 + 2 * 4**60, rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "6"],
+        ["verify", "--n", "6", "--shard", "0/2"],
+        ["lemmas", "--nmax", "6"],
+        ["search", "--graph", None],
+        ["closed-form", "--formula", "cycle", "--n", "6"],
+    ],
+    ids=["verify", "verify-shard", "lemmas", "search", "closed-form"],
+)
+def test_q2_without_diameter_rejected(capsys, monkeypatch, j6_file, argv):
+    """q2:Q fills its diameter per graph, which only compute has: every other
+    command refuses it with the CLI spelling of a fixed diameter, before a
+    scan, a closed-form sweep or a move starts."""
+    from wienerbounds import extremal
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a scan was started")
+
+    for name in ("scan_classes", "tadpole_closed_form", "apply_terminal_merge",
+                 "apply_tail_rebalance"):
+        monkeypatch.setattr(extremal, name, forbidden)
+    argv = [j6_file if a is None else a for a in argv]
+    code, out, err = run(capsys, *argv, "--weight", "q2:0.5")
+    assert code == 2 and out == ""
+    assert "q2:Q:L" in err and "diameter" in err
+
+
+def test_compute_fills_the_q2_diameter_per_graph(capsys, g36_file):
+    code, out, _ = run(capsys, "compute", "--graph", g36_file, "--weight", "q2:0.5")
+    assert code == 0
+    [row] = json.loads(out)
+    assert row["index_name"] == "q2:0.5:4"  # F_3,6 has diameter 4
+
+
 class TestConstruct:
     def test_roundtrip_through_file(self, capsys, tmp_path):
         out_file = tmp_path / "c7.txt"
@@ -562,11 +598,6 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--n", "6", "--weight", "power:0", *shard)
         assert code == 2 and out == "" and "monotone" in err
 
-    @pytest.mark.parametrize("shard", [[], ["--shard", "0/2"]])
-    def test_q2_without_diameter_rejected(self, capsys, no_scan, shard):
-        code, out, err = run(capsys, "verify", "--n", "6", "--weight", "q2:0.5", *shard)
-        assert code == 2 and out == "" and "diameter" in err
-
     def test_csv_report_row_is_well_formed(self, capsys):
         code, out, _ = run(
             capsys, "--format", "csv", "verify", "--n", "6", "--weight", "power:1"
@@ -765,6 +796,16 @@ class TestLemmas:
         assert out.splitlines() == ["4\t4\tFalse", "4\t5\tTrue", "5\t5\tTrue"]
 
 
+# the graph of random seed 1428 (Random(1428), n = randint(3, 44) = 36,
+# random_unicyclic), the known residual of the whole-tail rebalance
+RESIDUAL_EDGES = [
+    (0, 32), (1, 11), (1, 12), (1, 17), (2, 6), (2, 15), (3, 10), (4, 5), (4, 10), (5, 20),
+    (5, 33), (6, 12), (6, 23), (7, 25), (7, 34), (8, 16), (9, 24), (10, 24), (10, 27),
+    (10, 28), (12, 30), (13, 35), (14, 17), (14, 25), (15, 29), (16, 24), (18, 25), (19, 21),
+    (19, 32), (20, 23), (21, 25), (22, 28), (24, 35), (26, 31), (26, 34), (31, 35),
+]
+
+
 class TestSearch:
     def test_search_from_triangle_star(self, capsys, j6_file):
         code, out, _ = run(capsys, "search", "--graph", j6_file, "--weight", "power:1")
@@ -786,18 +827,31 @@ class TestSearch:
         assert "only json" in err
 
     def test_failed_move_is_a_claim_violation(self, capsys, tmp_path):
-        # G12, where the first tail rebalance shortens the distance tail
+        # the 36-vertex graph of random seed 1428, where the tail rebalance at
+        # (1, 5) drops the index under q3:1.5 after four terminal merges
+        p = tmp_path / "g36.txt"
+        p.write_text("".join(f"{a} {b}\n" for a, b in RESIDUAL_EDGES))
+        code, out, err = run(capsys, "search", "--graph", str(p), "--weight", "q3:1.5")
+        assert code == 1 and err == ""
+        payload = json.loads(out)
+        assert sorted(payload) == ["initial_value", "moves", "violation", "weight"]
+        assert "tail-rebalance at (1, 5)" in payload["violation"]
+        assert payload["moves"]
+        assert all(
+            float(m["value_after"]) > float(m["value_before"]) for m in payload["moves"]
+        )
+
+    def test_the_old_length_excess_graph_now_succeeds(self, capsys, tmp_path):
+        # G12, where moving only the length excess of a tail shortened the
+        # distance tail; the whole-tail move raises the index under any weight
         p = tmp_path / "g12.txt"
         p.write_text("0 1\n0 5\n0 6\n1 2\n1 8\n2 3\n2 9\n3 4\n4 5\n4 10\n6 7\n10 11\n")
         weight = "table:1,2,3,4,100,101,102,103,104,105,106"
         code, out, err = run(capsys, "search", "--graph", str(p), "--weight", weight)
-        assert code == 1 and err == ""
-        payload = json.loads(out)
-        assert sorted(payload) == ["initial_value", "moves", "violation", "weight"]
-        assert payload["moves"] == []
-        assert "tail-rebalance at (0, 1)" in payload["violation"]
-        code, out, _ = run(capsys, "search", "--graph", str(p), "--weight", "power:1")
-        assert code == 0 and len(json.loads(out)["moves"]) == 4
+        assert code == 0 and err == ""
+        moves = json.loads(out)["moves"]
+        assert moves[0]["kind"] == "tail-rebalance" and moves[0]["vertices"] == [0, 1]
+        assert all(float(m["value_after"]) > float(m["value_before"]) for m in moves)
 
     def test_search_rejects_tree(self, capsys, tmp_path):
         p = tmp_path / "p5.txt"

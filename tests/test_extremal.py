@@ -38,7 +38,7 @@ from wienerbounds.graphs import (
     major_vertex_report,
 )
 from wienerbounds.indices import generalized_wiener, wiener
-from wienerbounds.weights import PowerWeight, QWienerWeight, TableWeight
+from wienerbounds.weights import PowerWeight, QWienerWeight, TableWeight, parse_weight_spec
 
 
 def keys(g: Graph) -> set:
@@ -350,9 +350,14 @@ class TestTerminalMerge:
         real = extremal.major_vertex_report
         monkeypatch.setattr(extremal, "major_vertex_report", lambda g: calls.append(g) or real(g))
         rng = random.Random(1)
-        for _ in range(5):
-            local_search_max(random_unicyclic(40, rng), PowerWeight(1))
-        assert len(calls) == 78
+        moves = []
+        searches = 5
+        for _ in range(searches):
+            local_search_max(
+                random_unicyclic(40, rng), PowerWeight(1), on_move=lambda m, a, b: moves.append(m)
+            )
+        # one report per move, and one more per search for the step that stops
+        assert len(calls) == len(moves) + searches
 
 
 class TestTailRebalance:
@@ -444,10 +449,29 @@ def strictly_tail_dominates(new, old):
     return all(a[k] >= b[k] for k in b) and a != b
 
 
-# G12: the one class up to n = 12 where a tail rebalance is not weight-free
+# G12: the one class up to n = 12 where moving only the length excess of
+# the nearer anchor's tail dropped T_5; the whole-tail move dominates
 G12_KEY = ("((()))", "(())", "(())", "()", "((()))", "()")
 G12_EDGES = [(0, 1), (0, 5), (0, 6), (1, 2), (1, 8), (2, 3), (2, 9), (3, 4), (4, 5), (4, 10),
              (6, 7), (10, 11)]
+
+# the one search of the random-search recipe whose tail rebalance still fails:
+# seed 1428 gives n = 36, and the move at (1, 5) drops the index under q3:1.5
+RESIDUAL_SEED = 1428
+
+
+def recipe_graph(seed: int) -> Graph:
+    """The random-search recipe: ``Random(seed)``, n = randint(3, 44), then
+    ``random_unicyclic(n, rng)``."""
+    rng = random.Random(seed)
+    return random_unicyclic(rng.randint(3, 44), rng)
+
+
+def is_tadpole_shape(g: Graph) -> bool:
+    """A cycle with at most one pendant path: no degree above 3 and at most
+    one vertex of degree 3."""
+    degs = g.degree_sequence()
+    return is_unicyclic(g) and degs[0] <= 3 and degs.count(3) <= 1
 
 
 class TestMovesOnClassRepresentatives:
@@ -465,10 +489,9 @@ class TestMovesOnClassRepresentatives:
                         merges += 1
         assert merges == 4382
 
-    def test_every_tail_rebalance_but_one_strictly_tail_dominates(self):
+    def test_every_tail_rebalance_strictly_tail_dominates(self):
         pairs = {}
-        failures = []
-        for n in range(4, 13):
+        for n in range(4, 15):
             pairs[n] = 0
             for g in enumerate_unicyclic_unlabeled(n):
                 report = major_vertex_report(g)
@@ -480,20 +503,53 @@ class TestMovesOnClassRepresentatives:
                 for v1, v2 in itertools.combinations(sorted(report.majors), 2):
                     pairs[n] += 1
                     out = apply_tail_rebalance(g, v1, v2)
-                    if not strictly_tail_dominates(out, g):
-                        failures.append((class_key(n, g.adjacency_masks()), (v1, v2), g, out))
-        assert pairs == {4: 0, 5: 1, 6: 6, 7: 12, 8: 35, 9: 71, 10: 168, 11: 332, 12: 752}
-        # the one failure is pinned: its T_5 drops by one
-        [(key, pair, g, out)] = failures
-        assert key == G12_KEY and pair == (0, 1)
-        assert sorted(g.edges()) == G12_EDGES
-        before, after = tail_counts(g), tail_counts(out)
+                    assert strictly_tail_dominates(out, g), (keys(g), (v1, v2))
+        assert pairs == {
+            4: 0, 5: 1, 6: 6, 7: 12, 8: 35, 9: 71, 10: 168, 11: 332, 12: 752, 13: 1515,
+            14: 3299,
+        }
+
+    def test_the_old_length_excess_class_now_dominates(self):
+        g = Graph.from_edges(12, G12_EDGES)
+        assert class_key(12, g.adjacency_masks()) == G12_KEY
+        out = apply_tail_rebalance(g, 0, 1)
+        # the nearer anchor 0 moves its whole tail 0-6-7 beyond leaf 8 of 1-8
+        assert sorted(out.edges()) == sorted(set(G12_EDGES) - {(0, 6)} | {(6, 8)})
         assert distance_distribution(g).counts == {1: 12, 2: 16, 3: 17, 4: 12, 5: 7, 6: 2}
         assert distance_distribution(out).counts == {
-            1: 12, 2: 16, 3: 17, 4: 13, 5: 5, 6: 2, 7: 1
+            1: 12, 2: 15, 3: 15, 4: 11, 5: 7, 6: 3, 7: 2, 8: 1
         }
-        assert after[5] == before[5] - 1
-        assert [k for k in before if after[k] < before[k]] == [5]
+        assert strictly_tail_dominates(out, g)
+
+
+class TestRandomSearches:
+    """Local search on the random-search recipe, under the weights that
+    broke the length-excess move."""
+
+    # seeds whose search failed a tail rebalance under the length-excess move
+    FIXED_Q3 = [147, 390, 456, 484, 494, 498, 573, 683, 698, 786, 863, 964, 983, 1168,
+                1232, 1235, 1240, 1257, 1289, 1448, 1492]
+    FIXED_POWER2 = [498, 573, 964, 983]
+
+    @pytest.mark.parametrize(
+        "spec, seeds", [("q3:1.5", FIXED_Q3), ("power:2", FIXED_POWER2)], ids=["q3", "power2"]
+    )
+    def test_once_failing_seeds_reach_the_tadpole_shape(self, spec, seeds):
+        h = parse_weight_spec(spec)
+        for seed in seeds:
+            g = recipe_graph(seed)
+            trace = []
+            result = local_search_max(g, h, on_move=lambda m, a, b: trace.append((a, b)))
+            assert is_tadpole_shape(result), seed
+            assert all(b > a for a, b in trace), seed
+
+    def test_the_known_residual_still_fails(self):
+        """No pair rule tested so far is complete: the whole-tail move also
+        drops the index here, so the search reports it."""
+        g = recipe_graph(RESIDUAL_SEED)
+        assert g.n == 36
+        with pytest.raises(ProofMoveError, match=r"^move tail-rebalance at \(1, 5\) "):
+            local_search_max(g, parse_weight_spec("q3:1.5"))
 
 
 class TestLocalSearch:
