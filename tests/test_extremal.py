@@ -536,12 +536,8 @@ class TestRandomSearches:
     )
     def test_once_failing_seeds_reach_the_tadpole_shape(self, spec, seeds):
         h = parse_weight_spec(spec)
-        for seed in seeds:
-            g = recipe_graph(seed)
-            trace = []
-            result = local_search_max(g, h, on_move=lambda m, a, b: trace.append((a, b)))
-            assert is_tadpole_shape(result), seed
-            assert all(b > a for a, b in trace), seed
+        for seed in seeds:  # local_search_max raises on a move that does not raise the index
+            assert is_tadpole_shape(local_search_max(recipe_graph(seed), h)), seed
 
     def test_the_known_residual_still_fails(self):
         """No pair rule tested so far is complete: the whole-tail move also
