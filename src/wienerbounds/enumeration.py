@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from collections import Counter
 from random import Random
 from typing import Iterator, NamedTuple, Sequence
 
@@ -324,53 +323,43 @@ class _RootedTree(NamedTuple):
     pairs: int
 
 
-def _level_sequences(m: int) -> Iterator[tuple[int, ...]]:
-    """The canonical level sequences of the rooted trees on m vertices, from
-    the path down to the star (Beyer and Hedetniemi, SIAM J. Comput. 1980)."""
-    seq = list(range(m))
-    while True:
-        yield tuple(seq)
-        p = m - 1
-        while p > 0 and seq[p] <= 1:
-            p -= 1
-        if p == 0:
-            return
-        q = p - 1
-        while seq[q] != seq[p] - 1:  # the parent of p
-            q -= 1
-        for i in range(p, m):
-            seq[i] = seq[i - (p - q)]
-
-
 def _rooted_trees(max_size: int, width: int) -> list[_RootedTree]:
     """Every rooted tree on 1..max_size vertices, sorted by AHU code; fields ``width`` bits apart.
 
-    A tree's root subtrees are the runs of its level sequence that start at
-    level 1; each is, one level down, the canonical sequence of a smaller
-    tree, whose record is reused.
+    A tree on m vertices is a root over a multiset of smaller trees whose
+    sizes add up to m - 1.  Trees are built by size, so a multiset taken in
+    non-increasing index order is taken in non-increasing (size, index)
+    order, and is generated once.  |Aut| is the product of the children's
+    counts times k! for each child that hangs k times.
     """
-    built: dict[tuple[int, ...], _RootedTree] = {}
+    trees: list[_RootedTree] = []
+    ends = [0]  # trees[: ends[s]] are those on at most s vertices
+    picks: list[int] = []
+
+    def forests(room: int, top: int) -> Iterator[None]:
+        """Fill ``picks`` with each multiset of trees below index ``top`` on ``room`` vertices in all."""
+        if not room:
+            yield
+            return
+        for j in range(min(top, ends[room]) - 1, -1, -1):
+            picks.append(j)
+            yield from forests(room - trees[j].size, j + 1)
+            picks.pop()
+
     for m in range(1, max_size + 1):
-        for seq in _level_sequences(m):
-            starts = [i for i in range(1, m) if seq[i] == 1] + [m]
-            kids = [
-                built[tuple(v - 1 for v in seq[a:b])] for a, b in zip(starts, starts[1:])
-            ]
+        for _ in forests(m - 1, len(trees)):
+            kids = [trees[j] for j in picks]
             below = sum(k.depths for k in kids)  # the kids' vertices, by depth below them
             across = (below * below - sum(k.depths * k.depths for k in kids)) >> 1
             aut = 1
-            for k in kids:
-                aut *= k.aut
-            for same in Counter(k.code for k in kids).values():
-                aut *= math.factorial(same)
-            built[seq] = _RootedTree(
-                m,
-                "(" + "".join(sorted(k.code for k in kids)) + ")",
-                aut,
-                1 + (below << width),
-                sum(k.pairs for k in kids) + (below << width) + (across << 2 * width),
-            )
-    return sorted(built.values(), key=lambda t: t.code)
+            for j, same in itertools.groupby(picks):
+                hung = len(list(same))
+                aut *= trees[j].aut**hung * math.factorial(hung)
+            code = "(" + "".join(sorted(k.code for k in kids)) + ")"
+            pairs = sum(k.pairs for k in kids) + (below << width) + (across << 2 * width)
+            trees.append(_RootedTree(m, code, aut, 1 + (below << width), pairs))
+        ends.append(len(trees))
+    return sorted(trees, key=lambda t: t.code)
 
 
 def _bracelets(r: int, n: int, by_size: list[list[int]]) -> Iterator[tuple[tuple[int, ...], int]]:

@@ -168,6 +168,25 @@ def test_rooted_trees_match_A000081_and_their_codes():
     assert decoded[0] == decoded[1]
 
 
+def test_each_rooted_tree_against_networkx():
+    """Every rooted tree on at most 8 vertices, decoded with its root at
+    vertex 0: |Aut| counts the isomorphisms that fix the root, and the
+    depths and pairs are BFS counts."""
+    trees = enumeration._rooted_trees(8, 8)
+    assert len(trees) == sum(A000081[:8]) == 200
+    for t in trees:
+        ng = oracles.to_nx(graph_from_masks(t.size, representative_masks((t.code,))))
+        fixing = [m for m in GraphMatcher(ng, ng).isomorphisms_iter() if m[0] == 0]
+        assert len(fixing) == t.aut, t.code
+        depths = Counter(nx.single_source_shortest_path_length(ng, 0).values())
+        pairs = Counter(
+            d for u, row in nx.all_pairs_shortest_path_length(ng) for v, d in row.items() if u < v
+        )
+        for poly, counts in ((t.depths, depths), (t.pairs, pairs)):
+            decoded = graphs._coefficients(poly, t.size, 8)
+            assert decoded == tuple(counts[d] for d in range(t.size)), t.code
+
+
 def test_shards_take_every_kth_class():
     full = [key for _r, key, _aut, _c in iter_unicyclic_classes(8)]
     for k in (1, 2, 3, 7):
