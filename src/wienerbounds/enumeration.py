@@ -308,7 +308,7 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
 
 # The class engine stops here: n = 17 is 880,840 classes (OEIS A001429),
 # verified under power:1 in 13-17 s on two workers and 16-21 s on one, at
-# about 83 MB peak RSS on a 2-CPU machine (each worker repeats the whole
+# about 62 MB peak RSS on a 2-CPU machine (each worker repeats the whole
 # walk); each further n has about three times as many.
 MAX_CLASS_N = 17
 
@@ -337,7 +337,7 @@ def _rooted_trees(max_size: int, width: int) -> list[_RootedTree]:
     picks: list[int] = []
 
     def forests(room: int, top: int) -> Iterator[None]:
-        """Fill ``picks`` with each multiset of trees below index ``top`` on ``room`` vertices in all."""
+        """Fill ``picks`` with each multiset of trees below index ``top`` on ``room`` vertices."""
         if not room:
             yield
             return
