@@ -12,7 +12,9 @@ duplicate-free without keeping a global seen-set.
 Sequence indices shard deterministically: shard (i, k) of the stream
 processes Prufer ranks congruent to i mod k, shard (i, k) of the tree sweep
 the heads (first n - 3 labels) congruent to i mod k, and per-shard
-aggregates merge associatively.
+aggregates merge associatively.  The tree sweep decodes a head that
+repeats a label once, and passes without a decode each of its trees whose
+last label that decode does not take as a leaf up to its witness.
 
 The class engine builds each isomorphism class of unicyclic graphs once,
 as rooted trees around a cycle, with its automorphism count and distance
@@ -475,10 +477,11 @@ class TreeScan(NamedTuple):
         )
 
 
-def _terminal_branches(head: Sequence[int], last: int, deg: list[int], first: int) -> bool:
-    """Whether the tree of the Prufer sequence ``head + (last,)``, with
-    degrees ``deg`` and least leaf ``first`` (both read only), has a major
-    vertex (degree >= 3) with two bare branches below it, rooted at n - 1.
+def _terminal_branches(head: Sequence[int], last: int, deg: list[int], first: int) -> int:
+    """The first major vertex (degree >= 3) found with two bare branches
+    below it, or -1 if there is none, in the tree of the Prufer sequence
+    ``head + (last,)`` with degrees ``deg`` and least leaf ``first`` (both
+    read only), rooted at n - 1.  A major can be vertex 0: test ``< 0``.
 
     A branch is bare when it is a path hanging from the major.  The sweep's
     own decode builds no adjacency: it keeps the ``left`` counts of
@@ -501,7 +504,7 @@ def _terminal_branches(head: Sequence[int], last: int, deg: list[int], first: in
         if bare[leaf] + 1 == deg[leaf] <= 2:
             bare[s] += 1
             if bare[s] == 2 and deg[s] > 2:
-                return True
+                return s
         left[s] -= 1
         if left[s] == 1 and s < ptr:
             leaf = s
@@ -514,7 +517,55 @@ def _terminal_branches(head: Sequence[int], last: int, deg: list[int], first: in
     # last edge, leaf to n - 1, never does: n - 1 is joined to all but one
     # of its children by then, and a major has two bare ones among those or
     # a major below them.
-    return bare[leaf] + 1 == deg[leaf] <= 2 and bare[last] == 1 and deg[last] > 2
+    if bare[leaf] + 1 == deg[leaf] <= 2 and bare[last] == 1 and deg[last] > 2:
+        return last
+    return -1
+
+
+def _head_leaves(head: Sequence[int], deg: list[int], first: int) -> int:
+    """The leaves that the decode of ``head`` alone takes, as a bitmask,
+    through the first step that gives a vertex its second bare branch, or
+    -1 if no step does.  ``deg`` holds the head-only degrees, 1 plus the
+    count in ``head``, and ``first`` is the least label that ``head`` leaves
+    out (both read only).  The bare counts are those of
+    ``_terminal_branches``.  A vertex gets its second bare branch at its
+    second join at the earliest, so it repeats in ``head`` and is a major;
+    a head with no repeated label gives -1, and the sweep skips the call.
+
+    Every tree ``head + (last,)`` with ``last`` outside the mask has that
+    witness, so the sweep passes it without a decode.  The tree's degrees
+    are these plus one at ``last``.  Until the head-only decode takes
+    ``last`` as a leaf, the two decodes have equal ``left`` counts but at
+    ``last``, where the tree's is one higher and so at least 2: the tree's
+    leaves are the head's less ``last``, and while the head's least leaf is
+    not ``last`` both decodes take that one.  The tree's decode starts at
+    ``first`` too, unless ``last == first``, and ``first`` is in every
+    mask.  So for ``last`` outside the mask both decodes take the same
+    leaves through the witness step and join them to the same labels, and,
+    as ``deg[leaf]`` agrees at every leaf taken, keep the same ``bare``
+    counts.  The tree's decode meets its first bare pair at the same step
+    and the same s, where ``deg[s]`` is no smaller, so ``_terminal_branches``
+    returns that s.  A tree whose ``last`` is in the mask is decoded.
+    """
+    left = deg[:]
+    bare = [0] * len(deg)
+    ptr = leaf = first
+    taken = 0
+    for s in head:
+        taken |= 1 << leaf
+        if bare[leaf] + 1 == deg[leaf] <= 2:
+            bare[s] += 1
+            if bare[s] == 2:
+                return taken
+        left[s] -= 1
+        if left[s] == 1 and s < ptr:
+            leaf = s
+        else:
+            ptr += 1
+            while left[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    return -1
 
 
 def scan_tree_path_property(
@@ -527,9 +578,12 @@ def scan_tree_path_property(
     per head it counts the degrees once and lists the fresh labels, those
     the head leaves out.  A tree is a path iff no label repeats: a head of
     n - 3 distinct labels and a fresh last label, counted without a decode.
-    Every other tree is decoded by ``_terminal_branches`` from its least
-    leaf, the least fresh label other than the last one, and is a violation
-    if no major has two bare branches.  Shard (i, k) takes heads i, i + k,
+    A head that repeats a label is decoded once on its own by
+    ``_head_leaves``; a tree whose last label is outside the returned mask
+    repeats that decode through its witness and passes without one.  Every
+    other tree is decoded by ``_terminal_branches`` from its least leaf, the
+    least fresh label other than the last one, and is a violation if no
+    major has two bare branches.  Shard (i, k) takes heads i, i + k,
     i + 2k, ... in rank order, each with all n last labels.  Returned
     sequences should always be empty.
     """
@@ -547,13 +601,17 @@ def scan_tree_path_property(
             deg[s] += 1
         fresh = [v for v in range(n) if deg[v] == 1]
         simple = len(fresh) == 3  # n - 3 labels, none repeated
+        # -1 for a simple head, which has no major: ~shared == 0 skips no tree
+        shared = -1 if simple else _head_leaves(head, deg, fresh[0])
         trees += n
         for last in range(n):
             if simple and deg[last] == 1:
                 paths += 1
                 continue
+            if ~shared >> last & 1:  # last is outside the mask: passed from the head
+                continue
             deg[last] += 1
-            if not _terminal_branches(head, last, deg, fresh[last == fresh[0]]):
+            if _terminal_branches(head, last, deg, fresh[last == fresh[0]]) < 0:
                 violations.append((*head, last))
             deg[last] -= 1
     return TreeScan(n, trees, paths, tuple(violations))

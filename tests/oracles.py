@@ -6,7 +6,9 @@ paths are checked against a second route.  ``backtrack_canonical_form`` is
 the general-purpose canonical form the package used before its leaf-peeling
 class key, kept here as the isomorphism oracle for it, and
 ``bfs_major_vertex_report`` is the distance-based terminal rule the package
-used before its pendant-path walk.  ``bfs_distance_distribution`` is the
+used before its pendant-path walk.  ``prufer_leaf_order`` is the textbook
+least-leaf Prufer decode, for the tree sweep's own decoders.
+``bfs_distance_distribution`` is the
 per-source BFS distribution the package used before its leaf-peeling kernel.
 ``egf_distance_totals`` counts the pairs at each distance over all labeled
 unicyclic graphs by generating functions alone, with no graph built.
@@ -193,6 +195,23 @@ def bfs_major_vertex_report(g: Graph) -> MajorVertexReport:
         {v: tuple(ts) for v, ts in terminals.items()},
         frozenset(v for v, ts in terminals.items() if len(ts) > 1),
     )
+
+
+def prufer_leaf_order(seq, n: int) -> list[int]:
+    """Oracle: the leaves a least-leaf Prufer decode on n vertices takes, one
+    per label of ``seq``, each the ``min`` of the current leaves.  The
+    degrees are 1 plus the count in ``seq``, so ``seq`` may be a head, a
+    sequence cut short, decoded on its own degrees."""
+    left = [1] * n
+    for s in seq:
+        left[s] += 1
+    order = []
+    for s in seq:
+        leaf = min(v for v in range(n) if left[v] == 1)
+        order.append(leaf)
+        left[leaf] = 0
+        left[s] -= 1
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -298,20 +298,73 @@ class TestTreeScan:
             for s in seq:
                 deg[s] += 1
             first = deg.index(1)  # the least leaf, where the decode starts
-            verdict = enumeration._terminal_branches(seq[:-1], seq[-1], deg, first)
-            assert verdict == bool(report.multi_terminal_majors), seq
+            witness = enumeration._terminal_branches(seq[:-1], seq[-1], deg, first)
+            assert witness in report.multi_terminal_majors, seq
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_a_tree_passed_from_its_head_repeats_the_head_decode(self, n):
+        # The head's witness step from the oracle decode alone: the first step
+        # that joins a second pendant path (each vertex below it has at most
+        # one child) to one vertex.
+        def witness_step(head, order):
+            children = [[] for _ in range(n)]
+            for step, (leaf, s) in enumerate(zip(order, head)):
+                children[s].append(leaf)
+                pendant = 0
+                for v in children[s]:
+                    while len(children[v]) == 1:
+                        v = children[v][0]
+                    pendant += not children[v]
+                if pendant >= 2:
+                    return step
+            return None
+
+        wrong = []
+        for head in itertools.product(range(n), repeat=n - 3):
+            deg = [1] * n
+            for s in head:
+                deg[s] += 1
+            if max(deg) < 3:  # a simple head: the sweep decodes each tree
+                continue
+            mask = enumeration._head_leaves(head, deg, deg.index(1))
+            order = oracles.prufer_leaf_order(head, n)
+            step = witness_step(head, order)
+            if step is None:
+                assert mask == -1, head
+                continue
+            assert mask >= 0, head
+            for last in range(n):
+                if mask < 0 or mask >> last & 1:  # decoded by the sweep
+                    continue
+                seq = (*head, last)
+                taken = sum(1 << v for v in oracles.prufer_leaf_order(seq, n)[: step + 1])
+                deg[last] += 1
+                witness = enumeration._terminal_branches(head, last, deg, deg.index(1))
+                deg[last] -= 1
+                if taken != mask or witness != head[step]:
+                    wrong.append(seq)
+        assert wrong == [], f"{len(wrong)} trees, first {wrong[:3]}"
 
     def test_a_rejected_tree_is_reported_in_one_shard(self, monkeypatch):
         # planted in the first head, the last head, an inner head, and a tree
         # whose last label is its head's least fresh label (1, 1, 2, 0), so
-        # the decode starts at the next one
+        # the decode starts at the next one; the planted tree's head shares
+        # no decode, and every other head still does
         check = enumeration._terminal_branches
+        leaves = enumeration._head_leaves
         for bad in [(0, 0, 0, 0), (5, 5, 5, 5), (0, 0, 1, 1), (1, 1, 2, 0)]:
             monkeypatch.setattr(
                 enumeration,
                 "_terminal_branches",
                 lambda head, last, deg, first, bad=bad: (
-                    (*head, last) != bad and check(head, last, deg, first)
+                    -1 if (*head, last) == bad else check(head, last, deg, first)
+                ),
+            )
+            monkeypatch.setattr(
+                enumeration,
+                "_head_leaves",
+                lambda head, deg, first, bad=bad: (
+                    -1 if (*head, bad[-1]) == bad else leaves(head, deg, first)
                 ),
             )
             serial = scan_tree_path_property(6)
