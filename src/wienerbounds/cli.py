@@ -259,8 +259,8 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--jobs {jobs}: need at least one worker")
     if jobs > cpus:
         raise ValueError(f"--jobs {jobs} exceeds the {cpus} CPUs of this machine")
-    if not tol >= 0:  # also refuses nan
-        raise ValueError(f"--tol {tol}: a tolerance cannot be negative")
+    if not 0 <= tol < math.inf:  # also refuses nan
+        raise ValueError(f"--tol {tol}: a tolerance must be finite and not negative")
     h = _parse_weight(args.weight)
     shard = _parse_shard(args.shard) if args.shard else None
     report = extremal.verify_theorem(args.n, h, jobs=jobs, rel_tol=tol, shard=shard)

@@ -489,7 +489,8 @@ def _terminal_branches(head: Sequence[int], last: int, deg: list[int], first: in
     children whose subtree is a bare path.  When a step removes leaf l and
     joins it to s, every child of l is already joined, so the branch from s
     through l is bare iff l has at most one child and that child's branch
-    is bare: ``bare[l] + 1 == deg[l] <= 2``.
+    is bare: ``bare[l] + 1 == deg[l] <= 2``.  A bare count reaches 2 only at
+    a vertex's second join, so it repeats in the sequence and is a major.
 
     The verdict is exact.  A bare branch below a major v is a pendant path,
     so its leaf is terminal for v: every witness found is a real one.  A
@@ -503,7 +504,7 @@ def _terminal_branches(head: Sequence[int], last: int, deg: list[int], first: in
     for s in head:
         if bare[leaf] + 1 == deg[leaf] <= 2:
             bare[s] += 1
-            if bare[s] == 2 and deg[s] > 2:
+            if bare[s] == 2:
                 return s
         left[s] -= 1
         if left[s] == 1 and s < ptr:
@@ -517,7 +518,7 @@ def _terminal_branches(head: Sequence[int], last: int, deg: list[int], first: in
     # last edge, leaf to n - 1, never does: n - 1 is joined to all but one
     # of its children by then, and a major has two bare ones among those or
     # a major below them.
-    if bare[leaf] + 1 == deg[leaf] <= 2 and bare[last] == 1 and deg[last] > 2:
+    if bare[leaf] + 1 == deg[leaf] <= 2 and bare[last] == 1:
         return last
     return -1
 
@@ -527,10 +528,9 @@ def _head_leaves(head: Sequence[int], deg: list[int], first: int) -> int:
     through the first step that gives a vertex its second bare branch, or
     -1 if no step does.  ``deg`` holds the head-only degrees, 1 plus the
     count in ``head``, and ``first`` is the least label that ``head`` leaves
-    out (both read only).  The bare counts are those of
-    ``_terminal_branches``.  A vertex gets its second bare branch at its
-    second join at the earliest, so it repeats in ``head`` and is a major;
-    a head with no repeated label gives -1, and the sweep skips the call.
+    out (both read only).  The bare counts are those of ``_terminal_branches``,
+    where a vertex with two is shown to be a major repeated in ``head``; a
+    head with no repeated label gives -1, and the sweep skips the call.
 
     Every tree ``head + (last,)`` with ``last`` outside the mask has that
     witness, so the sweep passes it without a decode.  The tree's degrees
@@ -541,11 +541,10 @@ def _head_leaves(head: Sequence[int], deg: list[int], first: int) -> int:
     not ``last`` both decodes take that one.  The tree's decode starts at
     ``first`` too, unless ``last == first``, and ``first`` is in every
     mask.  So for ``last`` outside the mask both decodes take the same
-    leaves through the witness step and join them to the same labels, and,
-    as ``deg[leaf]`` agrees at every leaf taken, keep the same ``bare``
-    counts.  The tree's decode meets its first bare pair at the same step
-    and the same s, where ``deg[s]`` is no smaller, so ``_terminal_branches``
-    returns that s.  A tree whose ``last`` is in the mask is decoded.
+    leaves through the witness step, join them to the same labels and, as
+    ``deg[leaf]`` agrees at every leaf taken, keep the same ``bare`` counts:
+    ``_terminal_branches`` returns the same s.  A tree whose ``last`` is in
+    the mask is decoded.
     """
     left = deg[:]
     bare = [0] * len(deg)

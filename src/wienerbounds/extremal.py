@@ -150,7 +150,7 @@ class ScanSummary(NamedTuple):
 
 
 def _weight_tables(n: int, weights: Sequence[WeightFunction]) -> list[list]:
-    """Evaluate each weight at distances 1..n-2 (the unicyclic maximum)."""
+    """Evaluate each weight at 1..n-2, every unicyclic distance (``_strict_monotonicity``)."""
     return [[0] + [h(k) for k in range(1, n - 1)] for h in weights]
 
 
@@ -330,9 +330,10 @@ def _attained_by_class_only(n: int, side: Extreme, expected: Graph, aut: int) ->
     }
 
 
-def _strict_monotonicity(h: WeightFunction, upto: int) -> Monotonicity:
-    """The direction of ``h`` on the distances 1..upto, refusing a weight that
-    is not strictly monotone there."""
+def _strict_monotonicity(h: WeightFunction, n: int) -> Monotonicity:
+    """The direction of ``h`` on 1..max(2, n - 2), refusing an h not strictly monotone
+    there: a shortest path in a unicyclic graph on n vertices misses a cycle vertex."""
+    upto = max(2, n - 2)
     mono = classify_monotonicity(h, upto)
     if mono is Monotonicity.NEITHER:
         raise NonMonotoneWeightError(
@@ -350,7 +351,7 @@ def _verify(
     shard: tuple[int, int] | None,
 ) -> list[VerificationReport]:
     check_n(n, MAX_CLASS_N, "class-engine")
-    monotonicities = [_strict_monotonicity(h, max(2, n - 2)) for h in weights]
+    monotonicities = [_strict_monotonicity(h, n) for h in weights]
     if shard is None:
         summary = _fan_out(scan_classes, n, weights, jobs if n >= CLASS_FANOUT_MIN_N else 1)
     else:
@@ -419,9 +420,9 @@ def check_f3_dominance(
     the known tie: C_4 and the paw (the triangle with one pendant vertex)
     share the distance distribution {1: 4, 2: 2}.  Returns (r, n, ok) for
     every pair 4 <= r <= n <= n_max, in (n, r) order.  The weight is checked
-    on 1..max(2, n_max - 1) even when there is no pair to compare.
+    on 1..max(2, n_max - 2), what the closed forms read, even with no pair.
     """
-    increasing = _strict_monotonicity(h, max(2, n_max - 1)) is Monotonicity.STRICTLY_INCREASING
+    increasing = _strict_monotonicity(h, n_max) is Monotonicity.STRICTLY_INCREASING
     results = []
     for n in range(4, n_max + 1):
         f3 = tadpole_closed_form(3, n, h).value
@@ -533,7 +534,7 @@ def local_search_max(
     """
     if not is_unicyclic(g0):
         raise GraphError("local search needs a unicyclic graph")
-    mono = _strict_monotonicity(h, max(2, g0.n - 2))
+    mono = _strict_monotonicity(h, g0.n)
     if mono is not Monotonicity.STRICTLY_INCREASING:
         raise NonMonotoneWeightError(
             f"local_search_max needs a strictly increasing weight, got {mono.value}"

@@ -168,6 +168,43 @@ def test_rooted_trees_match_A000081_and_their_codes():
     assert decoded[0] == decoded[1]
 
 
+def tails(counts):
+    """T_k, the sum of counts[k:], for k = 0..len(counts) - 1."""
+    return [sum(counts[k:]) for k in range(len(counts))]
+
+
+def tail_dominates(a, b) -> bool:
+    return all(x >= y for x, y in zip(tails(a), tails(b)))
+
+
+def test_lemma_r_on_the_rooted_tree_table():
+    """Lemma R on every rooted tree on at most 12 vertices.  Among the trees
+    on s vertices, the path rooted at an end strictly tail-dominates every
+    other tree's depth vector and weakly dominates its pair vector; every
+    other tree dominates the star rooted at its centre the same way.  The
+    pair half is weak because a path rooted inside has the pairs of the
+    end-rooted one: the trees with the path's pairs are its (s + 1) // 2
+    rootings."""
+    width = 8
+    trees = enumeration._rooted_trees(12, width)
+    assert len(trees) == 7813  # A000081 summed over sizes 1..12
+    by_size: dict[int, list] = {}
+    for t in trees:
+        depths, pairs = (graphs._coefficients(p, t.size, width) for p in (t.depths, t.pairs))
+        by_size.setdefault(t.size, []).append((depths, pairs))
+    for s, vectors in by_size.items():
+        path = ((1,) * s, (0, *range(s - 1, 0, -1)))
+        star = (((1, s - 1) + (0,) * s)[:s], ((0, s - 1, math.comb(s - 1, 2)) + (0,) * s)[:s])
+        for extreme in (path, star):  # each is the only tree with its depths
+            assert [v for v in vectors if v[0] == extreme[0]] == [extreme], s
+        assert sum(p == path[1] for _d, p in vectors) == (s + 1) // 2, s
+        for depths, pairs in vectors:
+            if depths != path[0]:
+                assert tail_dominates(path[0], depths) and tail_dominates(path[1], pairs)
+            if depths != star[0]:
+                assert tail_dominates(depths, star[0]) and tail_dominates(pairs, star[1])
+
+
 def test_each_rooted_tree_against_networkx():
     """Every rooted tree on at most 8 vertices, decoded with its root at
     vertex 0: |Aut| counts the isomorphisms that fix the root, and the

@@ -659,6 +659,7 @@ class TestVerify:
             (["--jobs", "-3"], "--jobs -3"),
             (["--tol", "-1"], "--tol -1.0"),
             (["--tol", "nan"], "--tol nan"),
+            (["--tol", "inf"], "--tol inf"),
         ],
     )
     @pytest.mark.parametrize("weight", ["power:1", "power:-1"])
@@ -747,6 +748,14 @@ class TestLemmas:
         code, out, err = run(capsys, "lemmas", "--nmax", nmax, "--weight", "power:0")
         assert code == 2 and out == ""
         assert "not strictly monotone" in err
+
+    def test_table_weight_needs_only_the_distances_the_sweep_reads(self, capsys):
+        # the closed forms for n <= 6 read h(1..4), so a table of four values
+        # decides every pair, as ``verify --n 6`` accepts the same table
+        code, out, _ = run(capsys, "lemmas", "--nmax", "6", "--weight", "table:1,2,3,4")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["pairs_checked"] == 6 and payload["violations"] == [[4, 4]]
 
     def test_criterion_4_sweep_accepted(self, capsys):
         code, out, _ = run(capsys, "lemmas", "--nmax", "30", "--weight", "power:1")

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from wienerbounds import extremal
-from wienerbounds.closed_forms import tadpole_closed_form
+from wienerbounds.closed_forms import tadpole_closed_form, triangle_star_closed_form
 from wienerbounds.enumeration import (
     MAX_CLASS_N,
     canonical_form,
@@ -38,7 +38,13 @@ from wienerbounds.graphs import (
     major_vertex_report,
 )
 from wienerbounds.indices import generalized_wiener, wiener
-from wienerbounds.weights import PowerWeight, QWienerWeight, TableWeight, parse_weight_spec
+from wienerbounds.weights import (
+    PowerWeight,
+    QWienerWeight,
+    TableWeight,
+    WeightFunction,
+    parse_weight_spec,
+)
 
 
 def keys(g: Graph) -> set:
@@ -260,6 +266,46 @@ class TestVerifyTheorem:
         assert unique(6, sc.hi, tadpole(3, 6), 1) is False  # count != 6!/1
 
 
+class LargestArgument(WeightFunction):
+    """h(k) = k, exact, remembering the largest k it was asked for."""
+
+    exact = True
+    description = "largest-argument"
+
+    def __init__(self):
+        self.top = 0
+
+    def __call__(self, k: int) -> int:
+        self.top = max(self.top, k)
+        return k
+
+
+class TestDiameterRule:
+    """Every weight check runs on 1..max(2, n - 2), the distances of a
+    unicyclic graph on n vertices, and nothing reads a distance past it."""
+
+    def test_closed_forms_read_no_distance_past_the_unicyclic_diameter(self):
+        for n in range(3, 41):
+            h = LargestArgument()
+            for r in range(3, n + 1):
+                tadpole_closed_form(r, n, h)
+            if n >= 4:
+                triangle_star_closed_form(n, h)
+            assert h.top == n - 2, n  # F_{3,n} reads its tail's end, and no form reads past it
+
+    def test_the_sweep_checks_exactly_the_distances_its_closed_forms_read(self):
+        for n_max in range(1, 13):
+            h = LargestArgument()
+            check_f3_dominance(n_max, h)
+            assert h.top == max(2, n_max - 2), n_max
+
+    def test_verify_checks_exactly_the_distances_of_its_scan(self):
+        for n in range(3, 9):
+            h = LargestArgument()
+            verify_theorem(n, h)
+            assert h.top == max(2, n - 2), n
+
+
 class TestDominanceSweep:
     def test_identity_weight_only_boundary_pair_fails(self):
         results = check_f3_dominance(30, PowerWeight(1))
@@ -479,7 +525,7 @@ class TestMovesOnClassRepresentatives:
 
     def test_every_terminal_merge_strictly_tail_dominates(self):
         merges = 0
-        for n in range(4, 11):
+        for n in range(4, 13):
             for g in enumerate_unicyclic_unlabeled(n):
                 report = major_vertex_report(g)
                 for w in sorted(report.multi_terminal_majors):
@@ -487,7 +533,7 @@ class TestMovesOnClassRepresentatives:
                         moved = apply_terminal_merge(g, w, u1, u2)
                         assert strictly_tail_dominates(moved, g), (n, g.edges(), w, u1, u2)
                         merges += 1
-        assert merges == 4382
+        assert merges == 46202
 
     def test_every_tail_rebalance_strictly_tail_dominates(self):
         pairs = {}
