@@ -12,9 +12,8 @@ duplicate-free without keeping a global seen-set.
 Sequence indices shard deterministically: shard (i, k) of the stream
 processes Prufer ranks congruent to i mod k, shard (i, k) of the tree sweep
 the heads (first n - 3 labels) congruent to i mod k, and per-shard
-aggregates merge associatively.  The tree sweep decodes a head that
-repeats a label once, and passes without a decode each of its trees whose
-last label that decode does not take as a leaf up to its witness.
+aggregates merge associatively.  The tree sweep decodes each head once,
+and a tree only from where that decode takes its last label as a leaf.
 
 The class engine builds each isomorphism class of unicyclic graphs once,
 as rooted trees around a cycle, with its automorphism count and distance
@@ -66,9 +65,10 @@ def _decode_prufer(seq: Sequence[int], n: int) -> list[int]:
 
     ``left[v]`` starts at v's degree and counts v's edges not yet joined,
     so v is a leaf at 1.  ``prufer_to_tree``, ``random_unicyclic`` and
-    ``_chord_closures`` call this.  The tree sweep decodes on its own, in
-    ``_terminal_branches``, from the degrees and least leaf it prepares once
-    per head: it reads only the order of the leaves, not masks.
+    ``_chord_closures`` call this.  The tree sweep decodes on its own, each
+    head once in ``scan_tree_path_property`` and each tree from where it
+    leaves that decode in ``_terminal_branches``: it reads only the order
+    of the leaves, not masks.
     """
     left = [1] * n
     for s in seq:
@@ -477,11 +477,23 @@ class TreeScan(NamedTuple):
         )
 
 
-def _terminal_branches(head: Sequence[int], last: int, deg: list[int], first: int) -> int:
+def _terminal_branches(
+    head: Sequence[int],
+    j: int,
+    last: int,
+    deg: list[int],
+    left: list[int],
+    bare: list[int],
+    ptr: int,
+    leaf: int,
+) -> int:
     """The first major vertex (degree >= 3) found with two bare branches
     below it, or -1 if there is none, in the tree of the Prufer sequence
-    ``head + (last,)`` with degrees ``deg`` and least leaf ``first`` (both
-    read only), rooted at n - 1.  A major can be vertex 0: test ``< 0``.
+    ``head + (last,)``, rooted at n - 1, decoded from step j: ``left``,
+    ``bare``, ``ptr`` and ``leaf`` are its state as step j takes ``leaf``
+    (read only: steps run on copies), and ``deg`` holds the head's degrees,
+    as no step reads the tree's at ``last``.  At j = len(head) only the last
+    step, ``leaf`` to ``last``, is left.  A major can be vertex 0: test ``< 0``.
 
     A branch is bare when it is a path hanging from the major.  The sweep's
     own decode builds no adjacency: it keeps the ``left`` counts of
@@ -498,72 +510,27 @@ def _terminal_branches(head: Sequence[int], last: int, deg: list[int], first: in
     of them, so a witness is found iff the tree has a major vertex, the same
     verdict as walking each leaf to its major.
     """
-    left = deg[:]
-    bare = [0] * len(deg)
-    ptr = leaf = first
-    for s in head:
-        if bare[leaf] + 1 == deg[leaf] <= 2:
-            bare[s] += 1
-            if bare[s] == 2:
-                return s
-        left[s] -= 1
-        if left[s] == 1 and s < ptr:
-            leaf = s
-        else:
-            ptr += 1
-            while left[ptr] != 1:
+    if j < len(head):
+        left = left[:]
+        bare = bare[:]
+        for s in head[j:]:
+            if bare[leaf] + 1 == deg[leaf] <= 2:
+                bare[s] += 1
+                if bare[s] == 2:
+                    return s
+            left[s] -= 1
+            if left[s] == 1 and s < ptr:
+                leaf = s
+            else:
                 ptr += 1
-            leaf = ptr
+                while left[ptr] != 1:
+                    ptr += 1
+                leaf = ptr
     # The step that joins leaf to last may complete the first witness; the
-    # last edge, leaf to n - 1, never does: n - 1 is joined to all but one
-    # of its children by then, and a major has two bare ones among those or
-    # a major below them.
+    # last edge, leaf to n - 1, never does: n - 1 has all but one child by
+    # then, and a major has two bare ones among those or a major below them.
     if bare[leaf] + 1 == deg[leaf] <= 2 and bare[last] == 1:
         return last
-    return -1
-
-
-def _head_leaves(head: Sequence[int], deg: list[int], first: int) -> int:
-    """The leaves that the decode of ``head`` alone takes, as a bitmask,
-    through the first step that gives a vertex its second bare branch, or
-    -1 if no step does.  ``deg`` holds the head-only degrees, 1 plus the
-    count in ``head``, and ``first`` is the least label that ``head`` leaves
-    out (both read only).  The bare counts are those of ``_terminal_branches``,
-    where a vertex with two is shown to be a major repeated in ``head``; a
-    head with no repeated label gives -1, and the sweep skips the call.
-
-    Every tree ``head + (last,)`` with ``last`` outside the mask has that
-    witness, so the sweep passes it without a decode.  The tree's degrees
-    are these plus one at ``last``.  Until the head-only decode takes
-    ``last`` as a leaf, the two decodes have equal ``left`` counts but at
-    ``last``, where the tree's is one higher and so at least 2: the tree's
-    leaves are the head's less ``last``, and while the head's least leaf is
-    not ``last`` both decodes take that one.  The tree's decode starts at
-    ``first`` too, unless ``last == first``, and ``first`` is in every
-    mask.  So for ``last`` outside the mask both decodes take the same
-    leaves through the witness step, join them to the same labels and, as
-    ``deg[leaf]`` agrees at every leaf taken, keep the same ``bare`` counts:
-    ``_terminal_branches`` returns the same s.  A tree whose ``last`` is in
-    the mask is decoded.
-    """
-    left = deg[:]
-    bare = [0] * len(deg)
-    ptr = leaf = first
-    taken = 0
-    for s in head:
-        taken |= 1 << leaf
-        if bare[leaf] + 1 == deg[leaf] <= 2:
-            bare[s] += 1
-            if bare[s] == 2:
-                return taken
-        left[s] -= 1
-        if left[s] == 1 and s < ptr:
-            leaf = s
-        else:
-            ptr += 1
-            while left[ptr] != 1:
-                ptr += 1
-            leaf = ptr
     return -1
 
 
@@ -573,18 +540,29 @@ def scan_tree_path_property(
     """Check over all labeled n-vertex trees that only paths lack a major
     vertex with two or more terminal end-vertices.
 
-    The sweep goes by head, the first n - 3 labels of a Prufer sequence:
-    per head it counts the degrees once and lists the fresh labels, those
-    the head leaves out.  A tree is a path iff no label repeats: a head of
-    n - 3 distinct labels and a fresh last label, counted without a decode.
-    A head that repeats a label is decoded once on its own by
-    ``_head_leaves``; a tree whose last label is outside the returned mask
-    repeats that decode through its witness and passes without one.  Every
-    other tree is decoded by ``_terminal_branches`` from its least leaf, the
-    least fresh label other than the last one, and is a violation if no
-    major has two bare branches.  Shard (i, k) takes heads i, i + k,
-    i + 2k, ... in rank order, each with all n last labels.  Returned
-    sequences should always be empty.
+    The sweep goes by head, the first n - 3 labels of a Prufer sequence,
+    and decodes each head once, on its own degrees from its least fresh
+    label (one it leaves out).  A tree is a path iff no label repeats: a
+    head of n - 3 distinct labels and a fresh last label, counted without a
+    decode.  Any other tree ``head + (last,)`` has the head's degrees plus
+    one at ``last``.  Until the head's decode takes ``last`` as a leaf, the
+    two have equal ``left`` counts but at ``last``, where the tree's is at
+    least 2, so they take the same leaves to the same labels and keep equal
+    ``bare`` counts (``deg[leaf]`` agrees at each leaf taken).  When the
+    head's decode takes ``last`` at step j, at its start, as a label below
+    ``ptr`` that just became a leaf, or by its scan, the tree's count there
+    is 2: it takes the next label above ``ptr`` whose count is 1 and resumes
+    from step j in ``_terminal_branches``.  That needs no bump at ``last``:
+    later scans start above ``ptr`` >= ``last``, no later head label is
+    ``last``, and only the last step reads it.
+
+    So a tree whose last label is not taken by the head's witness, the first
+    step that gives a vertex its second bare branch, passes with it.  With
+    no witness, a tree whose last label is never taken shares the whole
+    decode and is decided at its last step.  Shard (i, k) takes heads i,
+    i + k, i + 2k, ... in rank order, each with all n last labels.
+    Violations, trees with no major that has two bare branches, come in
+    (head, last) order; there should be none.
     """
     check_n(n, lo=2)
     check_shard(shard)
@@ -598,19 +576,41 @@ def scan_tree_path_property(
         deg = [1] * n
         for s in head:
             deg[s] += 1
-        fresh = [v for v in range(n) if deg[v] == 1]
-        simple = len(fresh) == 3  # n - 3 labels, none repeated
-        # -1 for a simple head, which has no major: ~shared == 0 skips no tree
-        shared = -1 if simple else _head_leaves(head, deg, fresh[0])
+        simple = deg.count(1) == 3  # n - 3 labels, none repeated: 3 fresh lasts make paths
         trees += n
-        for last in range(n):
-            if simple and deg[last] == 1:
-                paths += 1
-                continue
-            if ~shared >> last & 1:  # last is outside the mask: passed from the head
-                continue
-            deg[last] += 1
-            if _terminal_branches(head, last, deg, fresh[last == fresh[0]]) < 0:
-                violations.append((*head, last))
-            deg[last] -= 1
-    return TreeScan(n, trees, paths, tuple(violations))
+        paths += 3 * simple
+        left, bare = deg[:], [0] * n
+        ptr = leaf = deg.index(1)
+        taken = 0  # the leaves the head's decode has taken
+        for j, s in enumerate(head):
+            taken |= 1 << leaf
+            if not simple or deg[leaf] > 1:  # head + (leaf,) is no path and leaves here
+                nxt = ptr + 1
+                while left[nxt] != 1:
+                    nxt += 1
+                if _terminal_branches(head, j, leaf, deg, left, bare, nxt, nxt) < 0:
+                    violations.append((*head, leaf))
+            if bare[leaf] + 1 == deg[leaf] <= 2:
+                bare[s] += 1
+                if bare[s] == 2:
+                    break  # the witness of every tree whose last is not taken
+            left[s] -= 1
+            if left[s] == 1 and s < ptr:
+                leaf = s
+            else:
+                ptr += 1
+                while left[ptr] != 1:
+                    ptr += 1
+                leaf = ptr
+        else:  # no witness: the last step decides each tree still in the decode
+            for last in range(n):
+                if taken >> last & 1 or simple and deg[last] == 1:
+                    continue
+                at = leaf
+                if last == leaf:  # the last step takes last: the tree leaves there
+                    at = ptr + 1
+                    while left[at] != 1:
+                        at += 1
+                if _terminal_branches(head, n - 3, last, deg, left, bare, at, at) < 0:
+                    violations.append((*head, last))
+    return TreeScan(n, trees, paths, tuple(sorted(violations)))

@@ -224,6 +224,20 @@ def test_each_rooted_tree_against_networkx():
             assert decoded == tuple(counts[d] for d in range(t.size)), t.code
 
 
+def test_rooted_tree_automorphisms_sum_to_cayley():
+    """Every rooted tree on at most 14 vertices: m! / |Aut| counts its
+    labelings, and over the trees on m vertices these add up to the m^(m-1)
+    rooted labeled trees (Cayley), so no |Aut| is off, past networkx's reach."""
+    trees = enumeration._rooted_trees(14, 8)
+    assert len(trees) == 53272  # A000081 summed over sizes 1..14
+    labelings = Counter()
+    for t in trees:
+        count, rest = divmod(math.factorial(t.size), t.aut)
+        assert rest == 0, t.code
+        labelings[t.size] += count
+    assert labelings == {m: m ** (m - 1) for m in range(1, 15)}
+
+
 def test_shards_take_every_kth_class():
     full = [key for _r, key, _aut, _c in iter_unicyclic_classes(8)]
     for k in (1, 2, 3, 7):

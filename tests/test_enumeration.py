@@ -45,6 +45,23 @@ def naive_prufer_decode(seq):
     return sorted(edges)
 
 
+def witness_step(seq, order, n):
+    """The first step of a decode, given its leaf order, that joins a second
+    pendant path (each vertex below it has at most one child) to one vertex,
+    or None: the step at which the sweep finds its witness."""
+    children = [[] for _ in range(n)]
+    for step, (leaf, s) in enumerate(zip(order, seq)):
+        children[s].append(leaf)
+        pendant = 0
+        for v in children[s]:
+            while len(children[v]) == 1:
+                v = children[v][0]
+            pendant += not children[v]
+        if pendant >= 2:
+            return step
+    return None
+
+
 class TestPrufer:
     def test_empty_sequence(self):
         assert list(prufer_to_tree([]).edges()) == [(0, 1)]
@@ -297,81 +314,93 @@ class TestTreeScan:
             deg = [1] * n
             for s in seq:
                 deg[s] += 1
-            first = deg.index(1)  # the least leaf, where the decode starts
-            witness = enumeration._terminal_branches(seq[:-1], seq[-1], deg, first)
+            first = deg.index(1)  # the least leaf: the whole decode, from step 0
+            witness = enumeration._terminal_branches(
+                seq[:-1], 0, seq[-1], deg, deg, [0] * n, first, first
+            )
             assert witness in report.multi_terminal_majors, seq
 
     @pytest.mark.parametrize("n", [5, 6, 7])
-    def test_a_tree_passed_from_its_head_repeats_the_head_decode(self, n):
-        # The head's witness step from the oracle decode alone: the first step
-        # that joins a second pendant path (each vertex below it has at most
-        # one child) to one vertex.
-        def witness_step(head, order):
-            children = [[] for _ in range(n)]
-            for step, (leaf, s) in enumerate(zip(order, head)):
-                children[s].append(leaf)
-                pendant = 0
-                for v in children[s]:
-                    while len(children[v]) == 1:
-                        v = children[v][0]
-                    pendant += not children[v]
-                if pendant >= 2:
-                    return step
-            return None
+    def test_each_tree_resumes_the_head_decode_where_it_leaves_it(self, monkeypatch, n):
+        # Against the oracle decodes: each tree sent to _terminal_branches at
+        # step j takes the head's leaves before j, leaves the head's decode at
+        # j (or never, at the last step), resumes at its own leaf there and
+        # gets its first witness; each other non-path tree has the head's.
+        check = enumeration._terminal_branches
+        sent = {}
 
+        def spy(head, j, last, deg, left, bare, ptr, leaf):
+            witness = check(head, j, last, deg, left, bare, ptr, leaf)
+            sent.setdefault((*head, last), []).append((j, leaf, witness))
+            return witness
+
+        monkeypatch.setattr(enumeration, "_terminal_branches", spy)
+        assert scan_tree_path_property(n).violations == ()
         wrong = []
-        for head in itertools.product(range(n), repeat=n - 3):
-            deg = [1] * n
-            for s in head:
-                deg[s] += 1
-            if max(deg) < 3:  # a simple head: the sweep decodes each tree
+        for seq in itertools.product(range(n), repeat=n - 2):
+            if len(set(seq)) == n - 2:  # a path: counted without a decode
+                if seq in sent:
+                    wrong.append(seq)
                 continue
-            mask = enumeration._head_leaves(head, deg, deg.index(1))
-            order = oracles.prufer_leaf_order(head, n)
-            step = witness_step(head, order)
-            if step is None:
-                assert mask == -1, head
-                continue
-            assert mask >= 0, head
-            for last in range(n):
-                if mask < 0 or mask >> last & 1:  # decoded by the sweep
+            head, last = seq[:-1], seq[-1]
+            order = oracles.prufer_leaf_order(seq, n)
+            step = witness_step(seq, order, n)
+            # the head's own decode, and the leaf it would join to a last label
+            taken = oracles.prufer_leaf_order(head, n)
+            taken.append(min(set(range(n)) - set(taken)))
+            if seq in sent:
+                if len(sent[seq]) != 1:
+                    wrong.append(seq)
                     continue
-                seq = (*head, last)
-                taken = sum(1 << v for v in oracles.prufer_leaf_order(seq, n)[: step + 1])
-                deg[last] += 1
-                witness = enumeration._terminal_branches(head, last, deg, deg.index(1))
-                deg[last] -= 1
-                if taken != mask or witness != head[step]:
+                ((j, leaf, witness),) = sent[seq]
+                leaves_here = taken[j] == last or (j == n - 3 and last not in taken)
+                if not (
+                    order[:j] == taken[:j]
+                    and leaves_here
+                    and order[j] == leaf
+                    and witness == seq[step]
+                ):
+                    wrong.append(seq)
+            else:  # passed with the head's witness
+                head_step = witness_step(head, taken, n)
+                if head_step is None or last in taken[: head_step + 1] or step != head_step:
                     wrong.append(seq)
         assert wrong == [], f"{len(wrong)} trees, first {wrong[:3]}"
 
     def test_a_rejected_tree_is_reported_in_one_shard(self, monkeypatch):
-        # planted in the first head, the last head, an inner head, and a tree
-        # whose last label is its head's least fresh label (1, 1, 2, 0), so
-        # the decode starts at the next one; the planted tree's head shares
-        # no decode, and every other head still does
+        # Each planted set with the step at which its trees leave the head's
+        # decode (3 = n - 3 is the last step): the first head; the last head;
+        # an inner head whose least fresh label is the last, so the tree
+        # starts at the next one; a tree resumed at the last step; a tree its
+        # head's decode never takes, decided by the last step alone; and two
+        # trees of one head, resumed as 2 then 0 but reported in (head, last)
+        # order.
         check = enumeration._terminal_branches
-        leaves = enumeration._head_leaves
-        for bad in [(0, 0, 0, 0), (5, 5, 5, 5), (0, 0, 1, 1), (1, 1, 2, 0)]:
-            monkeypatch.setattr(
-                enumeration,
-                "_terminal_branches",
-                lambda head, last, deg, first, bad=bad: (
-                    -1 if (*head, last) == bad else check(head, last, deg, first)
-                ),
-            )
-            monkeypatch.setattr(
-                enumeration,
-                "_head_leaves",
-                lambda head, deg, first, bad=bad: (
-                    -1 if (*head, bad[-1]) == bad else leaves(head, deg, first)
-                ),
-            )
+        planted = [
+            {(0, 0, 0, 1): 0},
+            {(5, 5, 5, 0): 0},
+            {(1, 1, 2, 0): 0},
+            {(0, 1, 2, 2): 3},
+            {(0, 1, 4, 4): 3},
+            {(2, 1, 0, 0): 3, (2, 1, 0, 2): 1},
+        ]
+        for steps in planted:
+            bad = tuple(sorted(steps))
+            seen = {}
+
+            def rejecting(head, j, last, deg, left, bare, ptr, leaf, steps=steps, seen=seen):
+                if (*head, last) in steps:
+                    seen[(*head, last)] = j
+                    return -1
+                return check(head, j, last, deg, left, bare, ptr, leaf)
+
+            monkeypatch.setattr(enumeration, "_terminal_branches", rejecting)
             serial = scan_tree_path_property(6)
-            assert serial == TreeScan(6, 6**4, math.factorial(6) // 2, (bad,))
+            assert seen == steps
+            assert serial == TreeScan(6, 6**4, math.factorial(6) // 2, bad)
             for k in range(1, 5):
                 shards = [scan_tree_path_property(6, shard=(i, k)) for i in range(k)]
-                assert sorted(s.violations for s in shards) == [()] * (k - 1) + [(bad,)], (bad, k)
+                assert sorted(s.violations for s in shards) == [()] * (k - 1) + [bad], (bad, k)
                 merged = shards[0]
                 for s in shards[1:]:
                     merged = merged.merged(s)
