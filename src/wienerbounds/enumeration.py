@@ -553,8 +553,8 @@ def scan_tree_path_property(
     ``ptr`` that just became a leaf, or by its scan, the tree's count there
     is 2: it takes the next label above ``ptr`` whose count is 1 and resumes
     from step j in ``_terminal_branches``.  That needs no bump at ``last``:
-    later scans start above ``ptr`` >= ``last``, no later head label is
-    ``last``, and only the last step reads it.
+    later scans start above ``ptr`` >= ``last``, which is no later head
+    label and no leaf, so no step reads its count or degree.
 
     So a tree whose last label is not taken by the head's witness, the first
     step that gives a vertex its second bare branch, passes with it.  With
