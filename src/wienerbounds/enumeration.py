@@ -12,8 +12,10 @@ duplicate-free without keeping a global seen-set.
 Sequence indices shard deterministically: shard (i, k) of the stream
 processes Prufer ranks congruent to i mod k, shard (i, k) of the tree sweep
 the heads (first n - 3 labels) congruent to i mod k, and per-shard
-aggregates merge associatively.  The tree sweep decodes each head once,
-and a tree only from where that decode takes its last label as a leaf.
+aggregates merge associatively.  The tree sweep decodes each head once:
+that decode decides every tree of a head that repeats a label, and a tree
+of a head of distinct labels is decoded only from where the head's decode
+takes its last label as a leaf.
 
 The class engine builds each isomorphism class of unicyclic graphs once,
 as rooted trees around a cycle, with its automorphism count and distance
@@ -66,9 +68,9 @@ def _decode_prufer(seq: Sequence[int], n: int) -> list[int]:
     ``left[v]`` starts at v's degree and counts v's edges not yet joined,
     so v is a leaf at 1.  ``prufer_to_tree``, ``random_unicyclic`` and
     ``_chord_closures`` call this.  The tree sweep decodes on its own, each
-    head once in ``scan_tree_path_property`` and each tree from where it
-    leaves that decode in ``_terminal_branches``: it reads only the order
-    of the leaves, not masks.
+    head once in ``scan_tree_path_property`` and each tree of a head of
+    distinct labels from where it leaves that decode in
+    ``_terminal_branches``: it reads only the order of the leaves, not masks.
     """
     left = [1] * n
     for s in seq:
@@ -105,15 +107,25 @@ def prufer_to_tree(seq: Sequence[int]) -> Graph:
     return graph_from_masks(n, _decode_prufer(seq, n))
 
 
-def _prufer_sequences(n: int, shard: tuple[int, int] | None) -> Iterator[tuple[int, ...]]:
-    """All n-vertex Prufer sequences in rank order, optionally one shard of them.
+def _ranked(n: int, length: int, i: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The sequences of ``length`` labels below n with ranks i, i + k, ...
 
-    product() is lexicographic, which is rank order, so shard (i, k) is the
-    stride-k slice starting at rank i.
+    product() is lexicographic, which is rank order, so this is the stride-k
+    slice starting at rank i.  islice overflows once its next rank passes
+    sys.maxsize, so i and k are capped at the number of sequences: a shard
+    past it holds rank i alone, or nothing.
     """
+    count = n**length
+    return itertools.islice(
+        itertools.product(range(n), repeat=length), min(i, count), None, min(k, count)
+    )
+
+
+def _prufer_sequences(n: int, shard: tuple[int, int] | None) -> Iterator[tuple[int, ...]]:
+    """All n-vertex Prufer sequences in rank order, optionally shard (i, k) of them."""
     check_shard(shard)
     i, k = shard or (0, 1)
-    return itertools.islice(itertools.product(range(n), repeat=n - 2), i, None, k)
+    return _ranked(n, n - 2, i, k)
 
 
 def iter_unicyclic_edge_masks(
@@ -494,6 +506,9 @@ def _terminal_branches(
     (read only: steps run on copies), and ``deg`` holds the head's degrees,
     as no step reads the tree's at ``last``.  At j = len(head) only the last
     step, ``leaf`` to ``last``, is left.  A major can be vertex 0: test ``< 0``.
+    The sweep calls this only for the trees of a head of n - 3 distinct
+    labels whose last label is in the head; its own decode decides every
+    tree of a head that repeats a label.
 
     A branch is bare when it is a path hanging from the major.  The sweep's
     own decode builds no adjacency: it keeps the ``left`` counts of
@@ -544,25 +559,43 @@ def scan_tree_path_property(
     and decodes each head once, on its own degrees from its least fresh
     label (one it leaves out).  A tree is a path iff no label repeats: a
     head of n - 3 distinct labels and a fresh last label, counted without a
-    decode.  Any other tree ``head + (last,)`` has the head's degrees plus
-    one at ``last``.  Until the head's decode takes ``last`` as a leaf, the
-    two have equal ``left`` counts but at ``last``, where the tree's is at
-    least 2, so they take the same leaves to the same labels and keep equal
-    ``bare`` counts (``deg[leaf]`` agrees at each leaf taken).  When the
-    head's decode takes ``last`` at step j, at its start, as a label below
-    ``ptr`` that just became a leaf, or by its scan, the tree's count there
-    is 2: it takes the next label above ``ptr`` whose count is 1 and resumes
-    from step j in ``_terminal_branches``.  That needs no bump at ``last``:
-    later scans start above ``ptr`` >= ``last``, which is no later head
-    label and no leaf, so no step reads its count or degree.
+    decode.  A witness is the vertex that a decode first gives a second bare
+    branch (``bare[s] == 2``, see ``_terminal_branches``).
 
-    So a tree whose last label is not taken by the head's witness, the first
-    step that gives a vertex its second bare branch, passes with it.  With
-    no witness, a tree whose last label is never taken shares the whole
-    decode and is decided at its last step.  Shard (i, k) takes heads i,
-    i + k, i + 2k, ... in rank order, each with all n last labels.
-    Violations, trees with no major that has two bare branches, come in
-    (head, last) order; there should be none.
+    Lemma (first witness).  In a decode of any sequence, whatever order the
+    leaves are taken in, the first witness is the first label to repeat, at
+    its second place in the sequence.  Proof: until some vertex has two bare
+    branches, every leaf in the pool is bare.  A vertex joins the pool once
+    all its labels are read, so all its children are already joined.  Were
+    it not bare, the deepest vertex below it with two or more children would
+    have only bare branches, at least two, and would already be a witness.
+    So every join before the first witness gives its parent one more bare
+    branch: ``bare[s]`` counts the reads of s so far, and first reaches 2 at
+    the second read of the first label to repeat.
+
+    So a tree ``head + (last,)`` whose head repeats a label has the head's
+    first repeat as its witness: its own first repeat lies in the head.  The
+    head's decode is checked against that, at step ``rep``, and decides all
+    n of its trees; if it finds no witness, or one at another step, all n
+    are reported.  A head of n - 3 distinct labels has no witness: its 3
+    fresh last labels make paths, and each of its other n - 3 trees repeats
+    its last label last and is decoded by ``_terminal_branches``.  That tree
+    has the head's degrees plus one at ``last``.  Until the head's decode
+    takes ``last`` as a leaf, the two have equal ``left`` counts but at
+    ``last``, where the tree's is at least 2, so they take the same leaves
+    to the same labels and keep equal ``bare`` counts (``deg[leaf]`` agrees
+    at each leaf taken).  When the head's decode takes ``last`` at step j,
+    at its start, as a label below ``ptr`` that just became a leaf, or by
+    its scan, the tree's count there is 2: it takes the next label above
+    ``ptr`` whose count is 1 and resumes from step j.  That needs no bump at
+    ``last``: later scans start above ``ptr`` >= ``last``, which is no later
+    head label and no leaf, so no step reads its count or degree.  A tree
+    whose last label the head's decode never takes shares the whole decode
+    and is decided at its last step.
+
+    Shard (i, k) takes heads i, i + k, i + 2k, ... in rank order, each with
+    all n last labels.  Violations, trees with no major that has two bare
+    branches, come in (head, last) order; there should be none.
     """
     check_n(n, lo=2)
     check_shard(shard)
@@ -572,19 +605,21 @@ def scan_tree_path_property(
     violations: list[tuple[int, ...]] = []
     trees = 0
     paths = 0
-    for head in itertools.islice(itertools.product(range(n), repeat=n - 3), i, None, k):
+    for head in _ranked(n, n - 3, i, k):
         deg = [1] * n
-        for s in head:
+        rep = -1  # the step at which the head first repeats a label
+        for j, s in enumerate(head):
             deg[s] += 1
-        simple = deg.count(1) == 3  # n - 3 labels, none repeated: 3 fresh lasts make paths
+            if deg[s] == 3 and rep < 0:
+                rep = j
         trees += n
-        paths += 3 * simple
+        paths += 3 * (rep < 0)
         left, bare = deg[:], [0] * n
         ptr = leaf = deg.index(1)
         taken = 0  # the leaves the head's decode has taken
         for j, s in enumerate(head):
             taken |= 1 << leaf
-            if not simple or deg[leaf] > 1:  # head + (leaf,) is no path and leaves here
+            if rep < 0 and deg[leaf] > 1:  # head + (leaf,) is no path and leaves here
                 nxt = ptr + 1
                 while left[nxt] != 1:
                     nxt += 1
@@ -593,7 +628,11 @@ def scan_tree_path_property(
             if bare[leaf] + 1 == deg[leaf] <= 2:
                 bare[s] += 1
                 if bare[s] == 2:
-                    break  # the witness of every tree whose last is not taken
+                    if j != rep:  # not the lemma's witness: no tree of this head is decided
+                        while violations and violations[-1][:-1] == head:
+                            violations.pop()
+                        violations += [(*head, last) for last in range(n)]
+                    break
             left[s] -= 1
             if left[s] == 1 and s < ptr:
                 leaf = s
@@ -602,9 +641,12 @@ def scan_tree_path_property(
                 while left[ptr] != 1:
                     ptr += 1
                 leaf = ptr
-        else:  # no witness: the last step decides each tree still in the decode
-            for last in range(n):
-                if taken >> last & 1 or simple and deg[last] == 1:
+        else:
+            if rep >= 0:  # a repeat and no witness: no tree of this head is decided
+                violations += [(*head, last) for last in range(n)]
+                continue
+            for last in range(n):  # the last step decides each tree still in the decode
+                if taken >> last & 1 or deg[last] == 1:
                     continue
                 at = leaf
                 if last == leaf:  # the last step takes last: the tree leaves there

@@ -1,6 +1,7 @@
 """The isomorphism-class engine against its second routes: the labeled scan,
 OEIS counts, and networkx on each class's representative."""
 
+import itertools
 import math
 import multiprocessing
 from collections import Counter
@@ -17,6 +18,7 @@ from wienerbounds.enumeration import (
     iter_unicyclic_classes,
     iter_unicyclic_edge_masks,
     representative_masks,
+    scan_tree_path_property,
 )
 from wienerbounds.extremal import scan_classes, scan_extremes_parallel
 from wienerbounds.graphs import distance_distribution, find_cycle
@@ -32,6 +34,7 @@ A001429 = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657, 11: 1806, 12:
            13: 13999, 14: 39260}
 A057500 = {3: 1, 4: 15, 5: 222, 6: 3660, 7: 68295, 8: 1436568, 9: 33779340, 10: 880107840}
 A000081 = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]  # rooted trees on 1..10 vertices
+A000055 = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159]  # free trees on 1..14 vertices
 
 
 def a057500(n):
@@ -236,6 +239,41 @@ def test_rooted_tree_automorphisms_sum_to_cayley():
         assert rest == 0, t.code
         labelings[t.size] += count
     assert labelings == {m: m ** (m - 1) for m in range(1, 15)}
+
+
+def test_free_trees_from_the_rooted_table():
+    """Every free tree on at most 14 vertices from the rooted-tree table: a
+    centred tree is one rooted tree at its centre, where its pair diameter
+    is twice its depth; a bicentred tree is an unordered pair of rooted
+    trees of equal depth joined at their roots, the central edge, its |Aut|
+    doubled when the two are the same tree.  The counts are A000055, and
+    m! / |Aut| adds up to the m^(m-2) labeled trees (Cayley): a second route
+    to the tree sweep's ``trees``."""
+    width = 8
+    by_root: dict[tuple[int, int], list] = {}  # (size, depth): the rooted trees
+    free, labelings = Counter(), Counter()
+    for t in enumeration._rooted_trees(14, width):
+        depths, pairs = (graphs._coefficients(p, t.size, width) for p in (t.depths, t.pairs))
+        depth = max(d for d, c in enumerate(depths) if c)
+        if max((d for d, c in enumerate(pairs) if c), default=0) == 2 * depth:
+            free[t.size] += 1
+            labelings[t.size] += math.factorial(t.size) // t.aut
+        by_root.setdefault((t.size, depth), []).append(t)
+    for (a, depth), halves in by_root.items():
+        for b in range(a, 15 - a):
+            others = by_root.get((b, depth), [])
+            pairs = (
+                itertools.combinations_with_replacement(halves, 2)
+                if a == b
+                else itertools.product(halves, others)
+            )
+            for x, y in pairs:
+                free[a + b] += 1
+                labelings[a + b] += math.factorial(a + b) // (x.aut * y.aut * (1 + (x is y)))
+    assert free == dict(enumerate(A000055, start=1))
+    assert labelings == {m: m ** max(m - 2, 0) for m in range(1, 15)}
+    for n in range(2, 8):
+        assert scan_tree_path_property(n).trees == labelings[n]
 
 
 def test_shards_take_every_kth_class():

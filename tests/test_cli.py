@@ -2,12 +2,13 @@ import csv
 import io
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
 from wienerbounds.cli import CLOSED_FORM_MAX_N, LEMMAS_MAX_NMAX, MAX_EXACT_EXPONENT, main
-from wienerbounds.enumeration import MAX_CLASS_N
+from wienerbounds.enumeration import MAX_CLASS_N, iter_unicyclic_edge_masks
 from wienerbounds.families import cycle, tadpole, triangle_star
 from wienerbounds.graphs import MAX_VERTICES, format_edge_list, parse_edge_list
 
@@ -407,6 +408,24 @@ class TestEnumerate:
             )
             total += json.loads(out)["labeled_count"]
         assert total == 222
+
+    @pytest.mark.parametrize(
+        "i, k",
+        [
+            (i, k)
+            for k in (6**4, 6**4 + 1, sys.maxsize, sys.maxsize + 1, 10**20)
+            for i in (0, 4, 5, 6**4 - 1, 6**4)
+            if i < k
+        ],
+    )
+    def test_a_shard_past_the_ranks_counts_rank_i_alone(self, capsys, i, k):
+        # islice overflowed once i + k passed sys.maxsize: 4/sys.maxsize counted rank 5
+        rank_i = iter_unicyclic_edge_masks(6, (i, 6**4)) if i < 6**4 else []
+        cycles = [r for _masks, r in rank_i]
+        code, out, _ = run(capsys, "enumerate", "--n", "6", "--count-only", "--shard", f"{i}/{k}")
+        assert code == 0
+        payload = {"n": 6, "labeled_count": len(cycles), "cycle_length_sum": sum(cycles)}
+        assert json.loads(out) == payload
 
     def test_unlabeled_count(self, capsys):
         _, out, _ = run(capsys, "enumerate", "--n", "5", "--count-only", "--unlabeled")

@@ -1,7 +1,10 @@
+import inspect
 import itertools
 import math
 import pickle
 import random
+import sys
+import textwrap
 import types
 
 import networkx as nx
@@ -60,6 +63,42 @@ def witness_step(seq, order, n):
         if pendant >= 2:
             return step
     return None
+
+
+def first_repeat(seq):
+    """The second place of the first label to repeat in seq, or None."""
+    seen = set()
+    for step, s in enumerate(seq):
+        if s in seen:
+            return step
+        seen.add(s)
+    return None
+
+
+def rank_sequence(rank, n, length):
+    """The sequence of ``length`` labels below n at ``rank``: its base-n digits."""
+    return tuple(rank // n**p % n for p in reversed(range(length)))
+
+
+def past_the_ranks(count):
+    """Shards (i, k) with k >= count ranks, each of which holds rank i alone, or nothing."""
+    strides = [count, count + 1, sys.maxsize, sys.maxsize + 1, 10**20]
+    ranks = (0, 4, 5, count - 1, count)
+    return [pytest.param((i, k), id=f"{i}/{k}") for k in strides for i in ranks if i < k]
+
+
+def reported_in_one_shard(scan, bad):
+    """``scan(6)`` reports the trees ``bad`` alone, and for each k <= 4 exactly
+    one shard i/k reports them, the others nothing; the shards merge to it."""
+    serial = scan(6)
+    assert serial == TreeScan(6, 6**4, math.factorial(6) // 2, bad)
+    for k in range(1, 5):
+        shards = [scan(6, shard=(i, k)) for i in range(k)]
+        assert sorted(s.violations for s in shards) == [()] * (k - 1) + [bad], (bad, k)
+        merged = shards[0]
+        for s in shards[1:]:
+            merged = merged.merged(s)
+        assert merged == serial
 
 
 class TestPrufer:
@@ -157,6 +196,14 @@ class TestLabeledEnumeration:
     def test_bad_shard_refused_on_the_call(self):
         with pytest.raises(ValueError, match="bad shard"):
             iter_unicyclic_edge_masks(5, (3, 3))
+
+    @pytest.mark.parametrize("shard", past_the_ranks(6**4))
+    def test_a_shard_past_the_ranks_holds_rank_i_alone(self, shard):
+        # islice overflowed once i + k passed sys.maxsize, and refused a k above it
+        i, _k = shard
+        seqs = [rank_sequence(i, 6, 4)] if i < 6**4 else []
+        expected = list(enumeration._chord_closures(6, seqs))
+        assert list(iter_unicyclic_edge_masks(6, shard)) == expected
 
     def test_cap_error_survives_a_pickle_round_trip(self):
         # a worker's exception reaches the parent process pickled
@@ -300,6 +347,36 @@ class TestTreeScan:
             merged = merged.merged(scan_tree_path_property(6, shard=(i, 4)))
         assert merged == full
 
+    @pytest.mark.parametrize("shard", past_the_ranks(6**3))
+    def test_a_shard_past_the_heads_holds_head_i_alone(self, shard):
+        i, _k = shard
+        if i < 6**3:
+            paths = 3 * (len(set(rank_sequence(i, 6, 3))) == 3)  # 3 fresh lasts of distinct labels
+            assert scan_tree_path_property(6, shard) == TreeScan(6, 6, paths, ())
+        else:
+            assert scan_tree_path_property(6, shard) == TreeScan(6, 0, 0, ())
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_the_first_witness_is_the_first_repeat(self, n):
+        # the lemma in scan_tree_path_property's docstring, on the least-leaf
+        # decode of every head (n - 3 labels) and every sequence (n - 2)
+        for length in (n - 3, n - 2):
+            for seq in itertools.product(range(n), repeat=length):
+                order = oracles.prufer_leaf_order(seq, n)
+                assert witness_step(seq, order, n) == first_repeat(seq), seq
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_the_first_witness_does_not_depend_on_the_leaf_order(self, n):
+        # each decode takes the leaf that a seeded random ranking of the
+        # vertices puts first, not the least one
+        rng = random.Random(n)
+        for _ in range(4):
+            rank = list(range(n))
+            rng.shuffle(rank)
+            for head in itertools.product(range(n), repeat=n - 3):
+                order = oracles.prufer_leaf_order(head, n, key=rank.__getitem__)
+                assert witness_step(head, order, n) == first_repeat(head), (head, rank)
+
     def test_merge_rejects_mixed_n(self):
         with pytest.raises(ValueError):
             TreeScan(4, 1, 1, ()).merged(TreeScan(5, 1, 1, ()))
@@ -319,13 +396,16 @@ class TestTreeScan:
                 seq[:-1], 0, seq[-1], deg, deg, [0] * n, first, first
             )
             assert witness in report.multi_terminal_majors, seq
+            assert witness == seq[first_repeat(seq)], seq
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_each_tree_resumes_the_head_decode_where_it_leaves_it(self, monkeypatch, n):
-        # Against the oracle decodes: each tree sent to _terminal_branches at
-        # step j takes the head's leaves before j, leaves the head's decode at
-        # j (or never, at the last step), resumes at its own leaf there and
-        # gets its first witness; each other non-path tree has the head's.
+        # Against the oracle decodes: only heads of distinct labels send
+        # trees to _terminal_branches.  Each tree sent at step j takes the
+        # head's leaves before j, leaves the head's decode at j (or never, at
+        # the last step), resumes at its own leaf there and gets its last
+        # label, its first repeat, as its witness.  No tree of a repeating
+        # head is sent: its first witness is the head's first repeat.
         check = enumeration._terminal_branches
         sent = {}
 
@@ -338,54 +418,52 @@ class TestTreeScan:
         assert scan_tree_path_property(n).violations == ()
         wrong = []
         for seq in itertools.product(range(n), repeat=n - 2):
-            if len(set(seq)) == n - 2:  # a path: counted without a decode
+            head, last = seq[:-1], seq[-1]
+            if first_repeat(seq) is None:  # a path: counted without a decode
                 if seq in sent:
                     wrong.append(seq)
                 continue
-            head, last = seq[:-1], seq[-1]
             order = oracles.prufer_leaf_order(seq, n)
             step = witness_step(seq, order, n)
+            if first_repeat(head) is not None:  # decided by the head's decode
+                if seq in sent or step != first_repeat(head):
+                    wrong.append(seq)
+                continue
+            if len(sent.get(seq, ())) != 1:
+                wrong.append(seq)
+                continue
             # the head's own decode, and the leaf it would join to a last label
             taken = oracles.prufer_leaf_order(head, n)
             taken.append(min(set(range(n)) - set(taken)))
-            if seq in sent:
-                if len(sent[seq]) != 1:
-                    wrong.append(seq)
-                    continue
-                ((j, leaf, witness),) = sent[seq]
-                leaves_here = taken[j] == last or (j == n - 3 and last not in taken)
-                if not (
-                    order[:j] == taken[:j]
-                    and leaves_here
-                    and order[j] == leaf
-                    and witness == seq[step]
-                ):
-                    wrong.append(seq)
-            else:  # passed with the head's witness
-                head_step = witness_step(head, taken, n)
-                if head_step is None or last in taken[: head_step + 1] or step != head_step:
-                    wrong.append(seq)
+            ((j, leaf, witness),) = sent[seq]
+            leaves_here = taken[j] == last or (j == n - 3 and last not in taken)
+            if not (
+                order[:j] == taken[:j]
+                and leaves_here
+                and order[j] == leaf
+                and step == n - 3
+                and witness == last
+            ):
+                wrong.append(seq)
         assert wrong == [], f"{len(wrong)} trees, first {wrong[:3]}"
 
     def test_a_rejected_tree_is_reported_in_one_shard(self, monkeypatch):
-        # Each planted set with the step at which its trees leave the head's
-        # decode (3 = n - 3 is the last step): the first head; the last head;
-        # an inner head whose least fresh label is the last, so the tree
-        # starts at the next one; a tree resumed at the last step; a tree its
-        # head's decode never takes, decided by the last step alone; and two
-        # trees of one head, resumed as 2 then 0 but reported in (head, last)
-        # order.
+        # Each planted set, on heads of distinct labels, with the step at
+        # which its trees leave the head's decode (3 = n - 3 is the last
+        # step): a tree of the first such head; one the decode's scan takes,
+        # not a label below ptr; a tree resumed at the last step; a tree its
+        # head's decode never takes, decided by the last step alone, of the
+        # last such head; and two trees of one head, resumed as 2 then 0 but
+        # reported in (head, last) order.
         check = enumeration._terminal_branches
         planted = [
-            {(0, 0, 0, 1): 0},
-            {(5, 5, 5, 0): 0},
-            {(1, 1, 2, 0): 0},
+            {(0, 1, 2, 0): 1},
+            {(0, 2, 4, 2): 2},
             {(0, 1, 2, 2): 3},
-            {(0, 1, 4, 4): 3},
+            {(5, 4, 3, 5): 3},
             {(2, 1, 0, 0): 3, (2, 1, 0, 2): 1},
         ]
         for steps in planted:
-            bad = tuple(sorted(steps))
             seen = {}
 
             def rejecting(head, j, last, deg, left, bare, ptr, leaf, steps=steps, seen=seen):
@@ -395,16 +473,37 @@ class TestTreeScan:
                 return check(head, j, last, deg, left, bare, ptr, leaf)
 
             monkeypatch.setattr(enumeration, "_terminal_branches", rejecting)
-            serial = scan_tree_path_property(6)
+            reported_in_one_shard(scan_tree_path_property, tuple(sorted(steps)))
             assert seen == steps
-            assert serial == TreeScan(6, 6**4, math.factorial(6) // 2, bad)
-            for k in range(1, 5):
-                shards = [scan_tree_path_property(6, shard=(i, k)) for i in range(k)]
-                assert sorted(s.violations for s in shards) == [()] * (k - 1) + [bad], (bad, k)
-                merged = shards[0]
-                for s in shards[1:]:
-                    merged = merged.merged(s)
-                assert merged == serial
+
+    @pytest.mark.parametrize(
+        "old, new, head",
+        [
+            # the witness moves to step 0, before the head's first repeat
+            ("bare[s] += 1", "bare[s] += 1 + (head == PLANTED and j == 0)", (1, 1, 2)),
+            # the decode misses its witness, and finds none later
+            ("if bare[s] == 2:", "if bare[s] == 2 and head != PLANTED:", (3, 0, 3)),
+            # a head of distinct labels gets a witness, after its tree
+            # (0, 1, 2, 0) resumed at step 1 and was rejected
+            ("bare[s] += 1", "bare[s] += 1 + (head == PLANTED and j == 2)", (0, 1, 2)),
+        ],
+        ids=["moved", "missed", "distinct"],
+    )
+    def test_a_head_off_its_first_repeat_reports_all_its_trees(self, old, new, head):
+        # a source mutant of the sweep whose decode of one head breaks the
+        # lemma: that head decides none of its n trees, and reports each
+        # once, its tree (*head, head[0]) too if it was sent and rejected
+        check = enumeration._terminal_branches
+
+        def rejecting(head_, j, last, *state):
+            return -1 if (*head_, last) == (*head, head[0]) else check(head_, j, last, *state)
+
+        source = textwrap.dedent(inspect.getsource(scan_tree_path_property))
+        assert source.count(old) == 1
+        namespace = {**vars(enumeration), "PLANTED": head, "_terminal_branches": rejecting}
+        exec(compile(source.replace(old, new), enumeration.__file__, "exec"), namespace)
+        bad = tuple((*head, last) for last in range(6))
+        reported_in_one_shard(namespace["scan_tree_path_property"], bad)
 
     @pytest.mark.parametrize("n", [10, 22])
     def test_keeps_the_labeled_cap(self, monkeypatch, n):
