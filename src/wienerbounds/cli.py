@@ -6,29 +6,18 @@ holding), 1 claim violation (the counterexample is part of the report),
 2 usage or input error, 141 stdout closed early (128 + SIGPIPE, nothing
 printed).  Data goes to stdout, diagnostics to stderr.
 Exact integer values serialize as decimal strings in JSON so
-consumers never round them through floats.
+consumers never round them through floats.  Each command imports the
+modules it runs, so a process compiles no module its command never calls.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 from typing import Sequence
-
-from . import enumeration, extremal, families
-from .closed_forms import (
-    cycle_closed_form,
-    path_closed_form,
-    tadpole_closed_form,
-    triangle_star_closed_form,
-)
-from .graphs import Graph, GraphError, distance_distribution, format_edge_list, parse_edge_list
-from .indices import IndexValue, generalized_wiener, index_from_distribution, named_indices
-from .weights import PowerWeight, parse_weight_spec
 
 USAGE_ERROR = 2
 CLAIM_VIOLATION = 1
@@ -55,6 +44,8 @@ def _emit_rows(rows: list[dict], fmt: str, header: Sequence[str] = ()) -> None:
     if fmt == "json":
         _emit_json(rows)
         return
+    import csv
+
     for row in rows:  # refused as JSON refuses it: exit 2 before any row is written
         for x in row.values():
             if isinstance(x, float) and not math.isfinite(x):
@@ -78,6 +69,8 @@ def _index_row(iv: IndexValue) -> dict:
 
 
 def _load_graph(path: str) -> Graph:
+    from .graphs import GraphError, parse_edge_list
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_edge_list(fh.read())
@@ -88,6 +81,8 @@ def _load_graph(path: str) -> Graph:
 def _parse_weight(spec: str):
     """The weight of ``spec``, refusing an exact exponent above
     MAX_EXACT_EXPONENT before any term, scan or distance is computed."""
+    from .weights import PowerWeight, parse_weight_spec
+
     h = parse_weight_spec(spec)
     if isinstance(h, PowerWeight) and h.exact and h.exponent > MAX_EXACT_EXPONENT:
         raise ValueError(
@@ -105,6 +100,9 @@ def _parse_shard(text: str) -> tuple[int, int]:
 
 
 def _cmd_compute(args) -> int:
+    from .graphs import distance_distribution
+    from .indices import index_from_distribution, named_indices
+
     if args.q is not None and not args.all_named:
         raise ValueError("--q applies only with --all-named")
     g = _load_graph(args.graph)
@@ -120,6 +118,9 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from . import families
+    from .graphs import format_edge_list
+
     if args.r is not None and args.family != "grn":
         raise ValueError(f"--r applies only to the grn family, not {args.family}")
     if args.r is None and args.family == "grn":
@@ -143,6 +144,13 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_closed_form(args) -> int:
+    from .closed_forms import (
+        cycle_closed_form,
+        path_closed_form,
+        tadpole_closed_form,
+        triangle_star_closed_form,
+    )
+
     if args.n > CLOSED_FORM_MAX_N:
         raise ValueError(f"--n {args.n} exceeds the closed-form limit {CLOSED_FORM_MAX_N}")
     if args.r is not None and args.formula != "F":
@@ -160,6 +168,8 @@ def _cmd_closed_form(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from . import enumeration
+
     shard = _parse_shard(args.shard) if args.shard else None
     if args.unlabeled and shard is not None:
         raise ValueError("--unlabeled takes no --shard: a shard is a set of Prufer ranks")
@@ -192,6 +202,8 @@ def _cmd_enumerate(args) -> int:
 
 def _report_payload(report: extremal.VerificationReport, fmt: str) -> dict:
     """The verify record: a shard's partial scan, or a whole scan and its claims."""
+    from . import enumeration
+
     summary, sc = report.summary, report.scan
     lo, hi = report.min_value, report.max_value
     head = {"n": summary.n, "weight": report.weight.description}
@@ -246,6 +258,8 @@ def _report_payload(report: extremal.VerificationReport, fmt: str) -> dict:
 
 
 def _cmd_verify(args) -> int:
+    from . import extremal
+
     given = [flag for flag, v in (("--jobs", args.jobs), ("--tol", args.tol)) if v is not None]
     if args.shard and given:
         raise ValueError(
@@ -270,6 +284,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
+    from . import extremal
+
     if args.nmax > LEMMAS_MAX_NMAX:
         raise ValueError(f"--nmax {args.nmax} exceeds the sweep limit {LEMMAS_MAX_NMAX}")
     h = _parse_weight(args.weight)
@@ -290,6 +306,9 @@ def _cmd_lemmas(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from . import extremal
+    from .indices import generalized_wiener
+
     if args.format != "json":
         raise ValueError(f"search nests its moves, so it prints only json, not {args.format}")
     g = _load_graph(args.graph)

@@ -57,7 +57,7 @@ class TestCompute:
         assert set(rows) >= {"q-wiener-1", "q-wiener-2", "q-wiener-3"}
 
     def test_all_named_builds_one_distribution(self, capsys, monkeypatch, g36_file):
-        from wienerbounds import cli, graphs, indices
+        from wienerbounds import graphs, indices
 
         calls = []
         real = graphs.distance_distribution
@@ -66,7 +66,7 @@ class TestCompute:
             calls.append(g.n)
             return real(g)
 
-        for module in (graphs, indices, cli):
+        for module in (graphs, indices):
             monkeypatch.setattr(module, "distance_distribution", counted)
         code, out, _ = run(
             capsys, "compute", "--graph", g36_file, "--weight", "power:2", "--all-named", "--q", "0.5"

@@ -196,5 +196,8 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     )
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     added = set(run.stdout.split())
-    assert "wienerbounds.cli" in added
+    assert {m for m in added if m.partition(".")[0] == "wienerbounds"} == {
+        "wienerbounds",
+        "wienerbounds.cli",
+    }
     assert not added & {"dataclasses", "inspect"}
