@@ -117,21 +117,24 @@ def _cmd_compute(args) -> int:
     return 0
 
 
+def _cycle_length(r: int | None, choice: str, tadpole: str, what: str) -> tuple[int, ...]:
+    """The leading arguments of the builder of ``choice``: (r,) for the tadpole
+    choice, which needs --r, and () for every other, which refuses it."""
+    if r is not None and choice != tadpole:
+        raise ValueError(f"--r applies only to {what}, not {choice}")
+    if r is None and choice == tadpole:
+        raise ValueError(f"--r is required for {what}")
+    return () if r is None else (r,)
+
+
 def _cmd_construct(args) -> int:
     from . import families
     from .graphs import format_edge_list
 
-    if args.r is not None and args.family != "grn":
-        raise ValueError(f"--r applies only to the grn family, not {args.family}")
-    if args.r is None and args.family == "grn":
-        raise ValueError("--r is required for the grn family")
-    if args.family == "grn":
-        g = families.tadpole(args.r, args.n)
-    else:
-        named = {"path": families.path, "cycle": families.cycle, "star": families.star,
-                 "jn": families.triangle_star}
-        g = named[args.family](args.n)
-    text = format_edge_list(g)
+    lead = _cycle_length(args.r, args.family, "grn", "the grn family")
+    builders = {"path": families.path, "cycle": families.cycle, "star": families.star,
+                "jn": families.triangle_star, "grn": families.tadpole}
+    text = format_edge_list(builders[args.family](*lead, args.n))
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -153,17 +156,11 @@ def _cmd_closed_form(args) -> int:
 
     if args.n > CLOSED_FORM_MAX_N:
         raise ValueError(f"--n {args.n} exceeds the closed-form limit {CLOSED_FORM_MAX_N}")
-    if args.r is not None and args.formula != "F":
-        raise ValueError(f"--r applies only to formula F, not {args.formula}")
-    if args.r is None and args.formula == "F":
-        raise ValueError("--r is required for formula F")
+    lead = _cycle_length(args.r, args.formula, "F", "formula F")
     h = _parse_weight(args.weight)
-    if args.formula == "F":
-        iv = tadpole_closed_form(args.r, args.n, h)
-    else:
-        named = {"path": path_closed_form, "cycle": cycle_closed_form, "jn": triangle_star_closed_form}
-        iv = named[args.formula](args.n, h)
-    _emit_rows([_index_row(iv)], args.format)
+    builders = {"path": path_closed_form, "cycle": cycle_closed_form,
+                "jn": triangle_star_closed_form, "F": tadpole_closed_form}
+    _emit_rows([_index_row(builders[args.formula](*lead, args.n, h))], args.format)
     return 0
 
 
@@ -224,8 +221,8 @@ def _report_payload(report: extremal.VerificationReport, fmt: str) -> dict:
             "max_value": None if hi is None else hi.to_json_value(),
         }
     examples = {}
-    for key, side in (("argmin_example", sc.lo), ("argmax_example", sc.hi)):
-        edges = enumeration.graph_from_masks(summary.n, side.example).edges()
+    for key, masks in (("argmin_example", sc.argmin_masks), ("argmax_example", sc.argmax_masks)):
+        edges = enumeration.graph_from_masks(summary.n, min(masks)).edges()
         examples[key] = (
             [list(e) for e in edges] if fmt == "json" else " ".join(f"{u}-{v}" for u, v in edges)
         )

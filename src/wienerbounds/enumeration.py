@@ -121,13 +121,6 @@ def _ranked(n: int, length: int, i: int, k: int) -> Iterator[tuple[int, ...]]:
     )
 
 
-def _prufer_sequences(n: int, shard: tuple[int, int] | None) -> Iterator[tuple[int, ...]]:
-    """All n-vertex Prufer sequences in rank order, optionally shard (i, k) of them."""
-    check_shard(shard)
-    i, k = shard or (0, 1)
-    return _ranked(n, n - 2, i, k)
-
-
 def iter_unicyclic_edge_masks(
     n: int, shard: tuple[int, int] | None = None
 ) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -138,7 +131,9 @@ def iter_unicyclic_edge_masks(
     call, not on the first next().
     """
     check_n(n)
-    return _chord_closures(n, _prufer_sequences(n, shard))
+    check_shard(shard)
+    i, k = shard or (0, 1)
+    return _chord_closures(n, _ranked(n, n - 2, i, k))
 
 
 def _chord_closures(
@@ -313,15 +308,11 @@ def canonical_form(g: Graph) -> bytes:
     return bytes(out)
 
 
-def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    return canonical_form(g1) == canonical_form(g2)
-
-
 # ---------------------------------------------------------------------------
 # the class engine: each isomorphism class once, without a labeled graph
 
 # The class engine stops here: n = 17 is 880,840 classes (OEIS A001429),
-# verified under power:1 in 13-17 s on two workers and 16-21 s on one, at
+# verified under power:1 in 7-9 s on two workers and 11-12 s on one, at
 # about 62 MB peak RSS on a 2-CPU machine (each worker repeats the whole
 # walk); each further n has about three times as many.
 MAX_CLASS_N = 17
@@ -344,7 +335,9 @@ def _rooted_trees(max_size: int, width: int) -> list[_RootedTree]:
     sizes add up to m - 1.  Trees are built by size, so a multiset taken in
     non-increasing index order is taken in non-increasing (size, index)
     order, and is generated once.  |Aut| is the product of the children's
-    counts times k! for each child that hangs k times.
+    counts times k! for each child that hangs k times.  The children hang
+    from the root one at a time, as ``graphs._fold_distribution`` folds a
+    vertex into its parent.
     """
     trees: list[_RootedTree] = []
     ends = [0]  # trees[: ends[s]] are those on at most s vertices
@@ -363,15 +356,17 @@ def _rooted_trees(max_size: int, width: int) -> list[_RootedTree]:
     for m in range(1, max_size + 1):
         for _ in forests(m - 1, len(trees)):
             kids = [trees[j] for j in picks]
-            below = sum(k.depths for k in kids)  # the kids' vertices, by depth below them
-            across = (below * below - sum(k.depths * k.depths for k in kids)) >> 1
+            depths, pairs = 1, 0
+            for kid in kids:
+                below = kid.depths << width
+                pairs += kid.pairs + depths * below
+                depths += below
             aut = 1
             for j, same in itertools.groupby(picks):
                 hung = len(list(same))
                 aut *= trees[j].aut**hung * math.factorial(hung)
             code = "(" + "".join(sorted(k.code for k in kids)) + ")"
-            pairs = sum(k.pairs for k in kids) + (below << width) + (across << 2 * width)
-            trees.append(_RootedTree(m, code, aut, 1 + (below << width), pairs))
+            trees.append(_RootedTree(m, code, aut, depths, pairs))
         ends.append(len(trees))
     return sorted(trees, key=lambda t: t.code)
 

@@ -81,12 +81,6 @@ class Extreme(Record):
         self.classes = set() if classes is None else classes
         self.count = count
 
-    @property
-    def example(self) -> tuple[int, ...] | None:
-        """The smallest adjacency bitmasks among the attaining classes'
-        ``canonical_form`` representatives (None on an empty side)."""
-        return min(map(representative_masks, self.classes), default=None)
-
     def offer(self, value, classes: set, count: int) -> None:
         """Fold in ``count`` labeled graphs of one value, of the classes keyed ``classes``."""
         current = self.value

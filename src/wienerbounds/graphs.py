@@ -285,7 +285,7 @@ def is_connected(g: Graph) -> bool:
 def _field_width(n: int) -> int:
     """Bits per packed coefficient on n vertices: the fewest whole bytes holding n(n - 1),
     which bounds every folded value (depths <= n, pairs <= C(n, 2), twice that in the halved
-    core sum, ``_rooted_trees``' below² <= (n - 3)²) and leaves counts <= C(n, 2) a top bit."""
+    core sum) and leaves counts <= C(n, 2) a top bit."""
     return max(8, ((n * (n - 1)).bit_length() + 7) // 8 * 8)
 
 

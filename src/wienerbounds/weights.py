@@ -93,6 +93,8 @@ class QWienerWeight(FrozenRecord, WeightFunction):
             raise WeightError(f"variant must be 1, 2 or 3, got {variant}")
         if variant != 2 and diameter is not None:
             raise WeightError("only variant 2 takes a diameter")
+        if diameter is not None and diameter < 0:
+            raise WeightError(f"diameter L must be at least 0, got {diameter}")
         self.__dict__.update(q=q, variant=variant, diameter=diameter)
 
     def with_diameter(self, diameter: int) -> "QWienerWeight":
@@ -186,7 +188,11 @@ def parse_weight_spec(spec: str) -> WeightFunction:
         if len(parts) == 1:
             return QWienerWeight(q, variant)
         if len(parts) == 2 and variant == 2:
-            return QWienerWeight(q, 2, int(parts[1]))
+            try:
+                diameter = int(parts[1])
+            except ValueError:
+                raise WeightError(f"bad diameter in {spec!r}: L must be an integer") from None
+            return QWienerWeight(q, 2, diameter)
         raise WeightError(f"bad q-weight spec {spec!r}")
     if kind == "table":
         try:

@@ -209,6 +209,21 @@ def test_compute_fills_the_q2_diameter_per_graph(capsys, g36_file):
     assert row["index_name"] == "q2:0.5:4"  # F_3,6 has diameter 4
 
 
+@pytest.mark.parametrize("spec", ["q2:0.5:x", "q2:0.5:1.5", "q2:0.5:", "q2:0.5:-3"])
+def test_a_bad_q2_diameter_exits_2_with_empty_stdout(capsys, spec):
+    code, out, err = run(capsys, "closed-form", "--formula", "path", "--n", "5", "--weight", spec)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "diameter" in err
+
+
+def test_a_one_vertex_graph_fills_the_q2_diameter_0(capsys, tmp_path):
+    p = tmp_path / "k1.txt"
+    p.write_text("n 1\n")
+    code, out, _ = run(capsys, "compute", "--graph", str(p), "--weight", "q2:0.5")
+    assert code == 0
+    assert json.loads(out) == [{"index_name": "q2:0.5:0", "mode": "float", "value": 0.0}]
+
+
 class TestConstruct:
     def test_roundtrip_through_file(self, capsys, tmp_path):
         out_file = tmp_path / "c7.txt"

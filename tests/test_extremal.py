@@ -205,7 +205,7 @@ class TestVerifyTheorem:
         # recompute every n=5 value with networkx per-pair BFS and compare
         # the scanner's extremes and every field of both sides
         import oracles
-        from wienerbounds.enumeration import enumerate_unicyclic_labeled
+        from wienerbounds.enumeration import enumerate_unicyclic_labeled, graph_from_masks
 
         values = {}
         for g in enumerate_unicyclic_labeled(5):
@@ -213,11 +213,13 @@ class TestVerifyTheorem:
         lo, hi = min(values.values()), max(values.values())
         sc = scan_extremes(5, [PowerWeight(1)]).per_weight[0]
         assert (sc.min_value, sc.max_value) == (lo, hi)
-        for side, extreme in ((sc.lo, lo), (sc.hi, hi)):
+        for side, extreme, reps in ((sc.lo, lo, sc.argmin_masks), (sc.hi, hi, sc.argmax_masks)):
             attaining = [m for m, v in values.items() if v == extreme]
             assert side.count == len(attaining)
             assert side.classes == {class_key(5, masks) for masks in attaining}
-            assert class_key(5, side.example) in side.classes
+            for m in reps:
+                assert sum(oracles.pair_distances(graph_from_masks(5, m)).values()) == extreme
+            assert sorted(class_key(5, m) for m in reps) == sorted(side.classes)
 
     def test_shard_merge_matches_full(self):
         h = PowerWeight(1)

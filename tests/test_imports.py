@@ -53,10 +53,23 @@ def package_modules(*names: str) -> set[str]:
             ["construct", "--family", "grn", "--n", "5", "--r", "3"],
             package_modules("cli", "families", "graphs", "records"),
         ),
+        (
+            ["compute", "--graph", None, "--weight", "power:1"],
+            package_modules("cli", "graphs", "indices", "records", "weights"),
+        ),
+        (
+            ["closed-form", "--formula", "path", "--n", "5", "--weight", "power:1"],
+            package_modules("cli", "closed_forms", "graphs", "indices", "records", "weights"),
+        ),
+        (["verify", "--n", "4", "--weight", "power:1"], package_modules(*SUBMODULES)),
     ],
-    ids=["help", "enumerate-unlabeled", "enumerate-labeled", "construct"],
+    ids=["help", "enumerate-unlabeled", "enumerate-labeled", "construct", "compute",
+         "closed-form", "verify"],
 )
-def test_route_imports_only_what_it_runs(argv, loaded):
+def test_route_imports_only_what_it_runs(tmp_path, argv, loaded):
+    graph = tmp_path / "c3.txt"  # the edge list that ``None`` stands for
+    graph.write_text("0 1\n1 2\n0 2\n")
+    argv = [str(graph) if a is None else a for a in argv]
     run = subprocess.run(
         [sys.executable, "-c", ROUTE_PROBE, *argv], capture_output=True, text=True
     )

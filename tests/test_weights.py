@@ -173,6 +173,7 @@ class TestSpecParsing:
 
     def test_rejects_garbage(self):
         for bad in ("power", "power:x", "q4:2", "q2:0.5:1:2", "table:", "nope:1",
-                    "power:nan", "power:1e400", "q1:inf", "q3:-inf", "table:1,inf"):
+                    "power:nan", "power:1e400", "q1:inf", "q3:-inf", "table:1,inf",
+                    "q2:0.5:x", "q2:0.5:1.5", "q2:0.5:", "q2:0.5:-3"):
             with pytest.raises(WeightError):
                 parse_weight_spec(bad)
