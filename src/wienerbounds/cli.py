@@ -304,7 +304,7 @@ def _cmd_lemmas(args) -> int:
 
 def _cmd_search(args) -> int:
     from . import extremal
-    from .indices import generalized_wiener
+    from .indices import generalized_wiener, index_value
 
     if args.format != "json":
         raise ValueError(f"search nests its moves, so it prints only json, not {args.format}")
@@ -317,8 +317,8 @@ def _cmd_search(args) -> int:
             {
                 "kind": move.kind,
                 "vertices": list(move.vertices),
-                "value_before": str(before),
-                "value_after": str(after),
+                "value_before": index_value(before, h, h.description).to_json_value(),
+                "value_after": index_value(after, h, h.description).to_json_value(),
             }
         )
 

@@ -311,11 +311,11 @@ def canonical_form(g: Graph) -> bytes:
 # ---------------------------------------------------------------------------
 # the class engine: each isomorphism class once, without a labeled graph
 
-# The class engine stops here: n = 17 is 880,840 classes (OEIS A001429),
-# verified under power:1 in 7-9 s on two workers and 11-12 s on one, at
-# about 62 MB peak RSS on a 2-CPU machine (each worker repeats the whole
-# walk); each further n has about three times as many.
-MAX_CLASS_N = 17
+# The class engine stops here: n = 18 is 2,497,405 classes (OEIS A001429),
+# verified under power:1 in 25-30 s on two workers at about 141 MB peak RSS
+# on a 2-CPU machine (each worker repeats the whole walk), inside a 35 s
+# budget; each further n has about three times as many.
+MAX_CLASS_N = 18
 
 class _RootedTree(NamedTuple):
     """One rooted tree: its size, AHU code, automorphism count, and as

@@ -442,14 +442,26 @@ def _relocate(g: Graph, path: list[int], dest: int) -> Graph:
     """Detach the pendant path ``path`` (anchor first, leaf last) from its
     anchor and re-attach it beyond ``dest``.  The detached labels are reused
     in ascending order along the new path, so the result is deterministic
-    and has the same vertex count."""
-    removed = {(min(a, b), max(a, b)) for a, b in zip(path, path[1:])}
-    edges = [e for e in g.edges() if e not in removed]
+    and has the same vertex and edge counts.
+
+    The result is built from copies of the input's rows, not re-validated
+    edge by edge: the move can make a loop or a duplicate edge only if
+    ``dest`` is on the path or a detached vertex keeps an edge off it, and
+    both raise ProofMoveError."""
+    if dest in path:
+        raise ProofMoveError(f"destination {dest} lies on the moved path")
+    rows = [list(row) for row in g.adj]
+    for a, b in zip(path, path[1:]):
+        rows[a].remove(b)
+        rows[b].remove(a)
     attach = dest
     for v in sorted(path[1:]):
-        edges.append((min(attach, v), max(attach, v)))
+        if rows[v]:
+            raise ProofMoveError(f"vertex {v} of the moved path has an edge off it")
+        rows[attach].append(v)
+        rows[v].append(attach)
         attach = v
-    return Graph.from_edges(g.n, edges)
+    return Graph(g.n, tuple(tuple(sorted(row)) for row in rows), g.edge_count)
 
 
 def apply_terminal_merge(g: Graph, w: int, u1: int, u2: int) -> Graph:

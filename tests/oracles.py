@@ -13,6 +13,10 @@ tree sweep's own decoders.
 per-source BFS distribution the package used before its leaf-peeling kernel.
 ``egf_distance_totals`` counts the pairs at each distance over all labeled
 unicyclic graphs by generating functions alone, with no graph built.
+``relocate_by_edges`` is the branch-relocation move as the package built it
+before it edited adjacency rows: an edge list re-validated by
+``Graph.from_edges``.  ``tails`` and ``tail_dominates`` compare coefficient
+lists by their tail sums, the order that decides every increasing weight.
 """
 
 from __future__ import annotations
@@ -79,6 +83,37 @@ def power_index(g: Graph, exponent: int):
     for d in pair_distances(g).values():
         total += Fraction(d) ** exponent
     return total
+
+
+def relocate_by_edges(g: Graph, path: list[int], dest: int) -> Graph:
+    """Oracle for ``extremal._relocate``: drop the edges of ``path`` (anchor
+    first, leaf last), hang its vertices beyond ``dest`` in ascending label
+    order, and rebuild the graph from its edge list.  ``from_edges`` raises
+    GraphError on the loop or duplicate edge of a move outside its
+    preconditions."""
+    removed = {(min(a, b), max(a, b)) for a, b in zip(path, path[1:])}
+    edges = [e for e in g.edges() if e not in removed]
+    attach = dest
+    for v in sorted(path[1:]):
+        edges.append((min(attach, v), max(attach, v)))
+        attach = v
+    return Graph.from_edges(g.n, edges)
+
+
+def tails(counts) -> list:
+    """T_k, the sum of counts[k:], for k = 0..len(counts) - 1: for the
+    coefficients of a distance distribution, the pairs at distance >= k."""
+    return [sum(counts[k:]) for k in range(len(counts))]
+
+
+def tail_dominates(a, b, strictly: bool = False) -> bool:
+    """Every T_k of ``a`` is at least that of ``b``, two lists of one length;
+    ``strictly`` also asks that one be larger.  By Abel summation a pair
+    vector that strictly dominates another has a larger index under every
+    strictly increasing weight."""
+    assert len(a) == len(b), (a, b)
+    ta, tb = tails(a), tails(b)
+    return all(x >= y for x, y in zip(ta, tb)) and not (strictly and ta == tb)
 
 
 def all_connected_n_edge_graphs(n: int) -> list[frozenset[tuple[int, int]]]:

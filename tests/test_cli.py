@@ -861,6 +861,17 @@ class TestSearch:
             int(m["value_after"]) > int(m["value_before"]) for m in payload["moves"]
         )
 
+    def test_float_weight_prints_every_value_as_a_number(self, capsys, j6_file):
+        code, out, _ = run(capsys, "search", "--graph", j6_file, "--weight", "power:0.5")
+        assert code == 0
+        payload = json.loads(out)
+        values = [payload["initial_value"], payload["final_value"]]
+        for m in payload["moves"]:
+            values += [m["value_before"], m["value_after"]]
+        assert len(values) > 2 and all(type(v) is float for v in values)
+        assert payload["moves"][0]["value_before"] == payload["initial_value"]
+        assert payload["moves"][-1]["value_after"] == payload["final_value"]
+
     @pytest.mark.parametrize("fmt", ["csv", "plain"])
     def test_only_json_output(self, capsys, j6_file, fmt):
         code, out, err = run(

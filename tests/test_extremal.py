@@ -31,6 +31,7 @@ from wienerbounds.families import cycle, star, tadpole, triangle_star
 from wienerbounds.graphs import (
     DisconnectedGraphError,
     Graph,
+    GraphError,
     bfs_distances,
     distance_distribution,
     find_cycle,
@@ -45,6 +46,8 @@ from wienerbounds.weights import (
     WeightFunction,
     parse_weight_spec,
 )
+
+import oracles
 
 
 def keys(g: Graph) -> set:
@@ -484,17 +487,11 @@ class TestTailRebalance:
             apply_tail_rebalance(g, v1, v2)
 
 
-def tail_counts(g):
-    """T_k, the number of vertex pairs at distance >= k, for k = 2..n - 1."""
+def pair_vector(g: Graph) -> list[int]:
+    """The vertex pairs of ``g`` at each distance 0..n - 1, the coefficient
+    list that ``oracles.tail_dominates`` compares."""
     counts = distance_distribution(g).counts
-    return {k: sum(c for d, c in counts.items() if d >= k) for k in range(2, g.n)}
-
-
-def strictly_tail_dominates(new, old):
-    """Every T_k of ``new`` is at least that of ``old`` and one is larger: by
-    Abel summation, the index then grows under every increasing weight."""
-    a, b = tail_counts(new), tail_counts(old)
-    return all(a[k] >= b[k] for k in b) and a != b
+    return [counts.get(d, 0) for d in range(g.n)]
 
 
 # G12: the one class up to n = 12 where moving only the length excess of
@@ -530,10 +527,13 @@ class TestMovesOnClassRepresentatives:
         for n in range(4, 13):
             for g in enumerate_unicyclic_unlabeled(n):
                 report = major_vertex_report(g)
+                before = pair_vector(g)
                 for w in sorted(report.multi_terminal_majors):
                     for u1, u2 in itertools.permutations(report.terminals[w], 2):
-                        moved = apply_terminal_merge(g, w, u1, u2)
-                        assert strictly_tail_dominates(moved, g), (n, g.edges(), w, u1, u2)
+                        after = pair_vector(apply_terminal_merge(g, w, u1, u2))
+                        assert oracles.tail_dominates(after, before, strictly=True), (
+                            n, g.edges(), w, u1, u2
+                        )
                         merges += 1
         assert merges == 46202
 
@@ -550,8 +550,10 @@ class TestMovesOnClassRepresentatives:
                 assert all(v in cyc and g.degree(v) == 3 for v in report.majors), keys(g)
                 for v1, v2 in itertools.combinations(sorted(report.majors), 2):
                     pairs[n] += 1
-                    out = apply_tail_rebalance(g, v1, v2)
-                    assert strictly_tail_dominates(out, g), (keys(g), (v1, v2))
+                    after = pair_vector(apply_tail_rebalance(g, v1, v2))
+                    assert oracles.tail_dominates(after, pair_vector(g), strictly=True), (
+                        keys(g), (v1, v2)
+                    )
         assert pairs == {
             4: 0, 5: 1, 6: 6, 7: 12, 8: 35, 9: 71, 10: 168, 11: 332, 12: 752, 13: 1515,
             14: 3299,
@@ -567,7 +569,89 @@ class TestMovesOnClassRepresentatives:
         assert distance_distribution(out).counts == {
             1: 12, 2: 15, 3: 15, 4: 11, 5: 7, 6: 3, 7: 2, 8: 1
         }
-        assert strictly_tail_dominates(out, g)
+        assert oracles.tail_dominates(pair_vector(out), pair_vector(g), strictly=True)
+
+
+@pytest.fixture
+def relocations(monkeypatch):
+    """Every call of ``extremal._relocate`` while the test runs, as
+    (graph, path, dest, result); the moves look the name up at call time."""
+    seen = []
+    real = extremal._relocate
+
+    def spy(g, path, dest):
+        out = real(g, path, dest)
+        seen.append((g, list(path), dest, out))
+        return out
+
+    monkeypatch.setattr(extremal, "_relocate", spy)
+    return seen
+
+
+def assert_relocations_match_the_edge_list_oracle(seen) -> None:
+    for g, path, dest, out in seen:
+        want = oracles.relocate_by_edges(g, path, dest)
+        assert out == want, (g.edges(), path, dest)  # n, rows and edge_count
+
+
+class TestRelocation:
+    """``_relocate`` edits the input's rows; the edge-list route it replaced
+    is the oracle, and ProofMoveError takes over from_edges' refusals."""
+
+    def test_every_move_on_the_class_representatives(self, relocations):
+        merges = rebalances = 0
+        for n in range(4, 11):
+            for g in enumerate_unicyclic_unlabeled(n):
+                report = major_vertex_report(g)
+                for w in sorted(report.multi_terminal_majors):
+                    for u1, u2 in itertools.permutations(report.terminals[w], 2):
+                        apply_terminal_merge(g, w, u1, u2)
+                        merges += 1
+                if not report.multi_terminal_majors:
+                    for v1, v2 in itertools.combinations(sorted(report.majors), 2):
+                        apply_tail_rebalance(g, v1, v2)
+                        rebalances += 1
+        # TestMovesOnClassRepresentatives' sweeps, cut at n = 10
+        assert (merges, rebalances) == (4382, 293)
+        assert len(relocations) == merges + rebalances
+        assert_relocations_match_the_edge_list_oracle(relocations)
+
+    def test_every_move_of_seeded_searches(self, relocations):
+        moves = []
+        for seed in range(300):
+            local_search_max(
+                recipe_graph(seed), PowerWeight(1), on_move=lambda m, a, b: moves.append(m.kind)
+            )
+        assert len(relocations) == len(moves) == 2158
+        assert set(moves) == {"terminal-merge", "tail-rebalance"}
+        assert_relocations_match_the_edge_list_oracle(relocations)
+
+    # a triangle 0-1-2 with the path 0-3-4 hanging at 0
+    TRIANGLE_PATH = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4)])
+
+    @pytest.mark.parametrize("dest", [0, 3, 4])
+    def test_a_destination_on_the_path_is_refused(self, dest):
+        with pytest.raises(ProofMoveError, match=f"^destination {dest} lies on the moved path$"):
+            extremal._relocate(self.TRIANGLE_PATH, [0, 3, 4], dest)
+
+    def test_a_loop_is_refused_where_from_edges_refused_it(self):
+        with pytest.raises(GraphError, match="self-loop"):
+            oracles.relocate_by_edges(self.TRIANGLE_PATH, [0, 3, 4], 3)
+        with pytest.raises(ProofMoveError):
+            extremal._relocate(self.TRIANGLE_PATH, [0, 3, 4], 3)
+
+    def test_a_path_vertex_with_another_edge_is_refused(self):
+        # 3 hangs at 0 and also touches 4, so [0, 3] is no pendant path
+        with pytest.raises(ProofMoveError, match="^vertex 3 of the moved path has an edge off it$"):
+            extremal._relocate(self.TRIANGLE_PATH, [0, 3], 1)
+
+    def test_a_duplicate_edge_is_refused_where_from_edges_refused_it(self):
+        # two triangles sharing 1-2: moving 2-3 beyond 1 would add 1-3 twice
+        g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+        with pytest.raises(GraphError, match="duplicate edge"):
+            oracles.relocate_by_edges(g, [2, 3], 1)
+        with pytest.raises(ProofMoveError, match="^vertex 3 of the moved path has an edge off it$"):
+            extremal._relocate(g, [2, 3], 1)
 
 
 class TestRandomSearches:

@@ -62,9 +62,12 @@ def package_modules(*names: str) -> set[str]:
             package_modules("cli", "closed_forms", "graphs", "indices", "records", "weights"),
         ),
         (["verify", "--n", "4", "--weight", "power:1"], package_modules(*SUBMODULES)),
+        # --nmax 3 is an empty sweep, which exits 0; every larger one meets the r = n = 4 tie
+        (["lemmas", "--nmax", "3", "--weight", "power:1"], package_modules(*SUBMODULES)),
+        (["search", "--graph", None, "--weight", "power:1"], package_modules(*SUBMODULES)),
     ],
     ids=["help", "enumerate-unlabeled", "enumerate-labeled", "construct", "compute",
-         "closed-form", "verify"],
+         "closed-form", "verify", "lemmas", "search"],
 )
 def test_route_imports_only_what_it_runs(tmp_path, argv, loaded):
     graph = tmp_path / "c3.txt"  # the edge list that ``None`` stands for
