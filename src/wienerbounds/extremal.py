@@ -34,6 +34,7 @@ from .graphs import (
     Graph,
     GraphError,
     NotUnicyclicError,
+    _moved_distribution,
     _pendant_walk,
     bfs_distances,
     find_cycle,
@@ -447,7 +448,9 @@ def _relocate(g: Graph, path: list[int], dest: int) -> Graph:
     The result is built from copies of the input's rows, not re-validated
     edge by edge: the move can make a loop or a duplicate edge only if
     ``dest`` is on the path or a detached vertex keeps an edge off it, and
-    both raise ProofMoveError."""
+    both raise ProofMoveError.  Its distance distribution is derived from the
+    input's (``_moved_distribution``), which needs the connected input that
+    both moves check for."""
     if dest in path:
         raise ProofMoveError(f"destination {dest} lies on the moved path")
     rows = [list(row) for row in g.adj]
@@ -461,7 +464,9 @@ def _relocate(g: Graph, path: list[int], dest: int) -> Graph:
         rows[attach].append(v)
         rows[v].append(attach)
         attach = v
-    return Graph(g.n, tuple(tuple(sorted(row)) for row in rows), g.edge_count)
+    out = Graph(g.n, tuple(tuple(sorted(row)) for row in rows), g.edge_count)
+    out.__dict__["_distribution"] = _moved_distribution(g, path, dest)  # what it would fold
+    return out
 
 
 def apply_terminal_merge(g: Graph, w: int, u1: int, u2: int) -> Graph:

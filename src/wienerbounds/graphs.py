@@ -15,9 +15,12 @@ gap around a cycle, one BFS per core vertex for any other core.
 
 A ``Graph`` never changes, so it derives each of these facts once, on first
 use: its connectivity (one BFS from vertex 0), and its cycle and distance
-distribution (one leaf peel between them).  They live outside its three
-fields, so they never enter ``==``, ``hash``, ``repr`` or a pickle, and the
-one cached distribution is handed to every caller, read-only.
+distribution (one leaf peel between them).  A relocation move hands its
+result a distribution derived from its input's (``_moved_distribution``:
+one or two BFS and the moved path's delta), so that graph peels only if its
+cycle is asked for.  The facts live outside the three fields, so they never enter
+``==``, ``hash``, ``repr`` or a pickle, and the one cached distribution is
+handed to every caller, read-only.
 """
 
 from __future__ import annotations
@@ -126,7 +129,8 @@ class Graph(FrozenRecord):
     def _core(self) -> tuple[int, list[tuple[int, int]], list[int]]:
         """``peel_leaves`` of this graph, which must be connected, and the
         ``cycle_order`` of its core when that core is one cycle (else []).
-        Kept only until ``_fold_distribution``, its last reader, is done."""
+        Kept only until its last reader is done: ``_fold_distribution``, or
+        ``_cycle`` on a graph whose distribution a move derived."""
         masks = self.adjacency_masks()
         alive, peeled = peel_leaves(masks)
         return alive, peeled, cycle_order(masks, alive) if self.edge_count == self.n else []
@@ -137,7 +141,10 @@ class Graph(FrozenRecord):
             raise NotUnicyclicError(
                 f"graph with n={self.n}, m={self.edge_count} is not connected-unicyclic"
             )
-        return CycleInfo(tuple(self._core[2]))
+        cycle = CycleInfo(tuple(self._core[2]))
+        if "_distribution" in self.__dict__:  # no fold will come to read the peel
+            del self.__dict__["_core"]
+        return cycle
 
     @cached_property
     def _distribution(self) -> DistanceDistribution:
@@ -373,11 +380,60 @@ def _fold_distribution(g: Graph) -> DistanceDistribution:
             for d in range(1, len(trees)):
                 twice[d] += depths[i] * trees[d]
         pairs += sum(c << (width * d) for d, c in enumerate(twice)) >> 1
-    coefs = _coefficients(pairs, -(-pairs.bit_length() // width), width)  # up to the diameter
     if g.edge_count == n:
         g._cycle  # derive the cycle from this peel before its pairs go
     g.__dict__.pop("_core", None)  # n peeled pairs that no later query reads
+    return _unpacked(pairs, n, width)
+
+
+def _unpacked(pairs: int, n: int, width: int) -> DistanceDistribution:
+    """The distribution of the packed pair polynomial ``pairs`` on n vertices, up to its degree."""
+    coefs = _coefficients(pairs, -(-pairs.bit_length() // width), width)
     return DistanceDistribution({d: c for d, c in enumerate(coefs) if c}, n)
+
+
+def _moved_distribution(g: Graph, path: Sequence[int], dest: int) -> DistanceDistribution:
+    """The distance distribution of ``g`` once its pendant path ``path`` = (a, p_1, ..., p_k),
+    anchor first and leaf last, is detached from a and hung beyond ``dest`` = d, derived from
+    ``g``'s own distribution.  ``g`` must be connected, and d off the path.
+
+    Lemma.  Let R = G - {p_1, ..., p_k}, S = x + ... + x^k and D_R(v) = sum over y in R of
+    x^d_R(v, y).  The moved graph G' has the distribution of G plus S * (D_R(d) - D_R(a)).
+
+    Proof.  P is pendant, in G at a and in G' at d: its only edge into R is the one at p_1, and
+    every p_i but the leaf p_k has degree 2.  So a walk between two vertices of R that enters P
+    leaves it again where it came in, and no shortest one enters it: every pair within R is d_R
+    apart in G and in G' alike, and R is connected because G is.  P is a path of k vertices in
+    both graphs, whatever labels the moved path carries, so its own pairs keep their distances.
+    A path from p_i into R runs through a in G and through d in G', so p_i is i + d_R(a, y) from
+    y in R before the move and i + d_R(d, y) after it.  Only these pairs change: S * D_R(a)
+    becomes S * D_R(d).
+
+    No BFS from d is needed when d ends a bare path: when d is a leaf whose walk through
+    degree-2 vertices (``_pendant_walk``) stops after m steps at a vertex c of degree 3 or more,
+    that walk never entered P (a walk into P runs on to the leaf p_k), so it is a path of R,
+    and every path from d to the rest of R runs through c.  Then D_R(d) = x^m * (D_R(c) - T)
+    + T, with T = 1 + x + ... + x^m for the walk's own vertices.  Otherwise c = d and m = 0.
+    One BFS over G from a and one from c give both D_R, and one BFS does when c = a, as in a
+    terminal merge.  The p_i are i steps beyond a and t + i beyond c, with t = d(c, a), so
+    D_R(a) = D_G(a) - S and D_R(c) = D_G(c) - x^t * S.  The polynomials are packed
+    ``_field_width`` apart.  The delta may have negative coefficients, but the sum is the packed
+    distribution of G', whose counts lie in 0..C(n, 2), so it decodes exactly.
+    """
+    w = _field_width(g.n)
+    a = path[0]
+    old = sum(count << w * k for k, count in distance_distribution(g).counts.items())
+    walk = _pendant_walk(g, dest, g.adj[dest][0]) if len(g.adj[dest]) == 1 else [dest]
+    if len(g.adj[walk[-1]]) < 3:  # d is no leaf, or its walk ran into P
+        walk = [dest]
+    c, m = walk[-1], len(walk) - 1
+    from_a = _bfs(g.adj, a)[0]
+    dga = sum(1 << w * t for t in from_a)  # D_G(a)
+    dgc = dga if c == a else sum(1 << w * t for t in _bfs(g.adj, c)[0])  # D_G(c)
+    s = sum(1 << w * i for i in range(1, len(path)))
+    bare = sum(1 << w * j for j in range(m + 1))  # T
+    drd = (1 << w * m) * (dgc - (1 << w * from_a[c]) * s - bare) + bare  # D_R(d)
+    return _unpacked(old + s * (drd - (dga - s)), g.n, w)
 
 
 def is_unicyclic(g: Graph) -> bool:

@@ -27,7 +27,7 @@ from wienerbounds.extremal import (
     verify_theorem,
     verify_theorem_many,
 )
-from wienerbounds.families import cycle, star, tadpole, triangle_star
+from wienerbounds.families import cycle, path, star, tadpole, triangle_star
 from wienerbounds.graphs import (
     DisconnectedGraphError,
     Graph,
@@ -48,6 +48,21 @@ from wienerbounds.weights import (
 )
 
 import oracles
+
+
+@pytest.fixture(autouse=True)
+def moves_match_a_fresh_fold(monkeypatch):
+    """Every move a test here makes derives its result's distribution from its
+    input's; it must equal the fold of a fresh twin of the result."""
+    real = extremal._relocate
+
+    def checked(g, path, dest):
+        out = real(g, path, dest)
+        twin = Graph(out.n, out.adj, out.edge_count)
+        assert distance_distribution(out) == distance_distribution(twin), (g.edges(), path, dest)
+        return out
+
+    monkeypatch.setattr(extremal, "_relocate", checked)
 
 
 def keys(g: Graph) -> set:
@@ -588,15 +603,26 @@ def relocations(monkeypatch):
     return seen
 
 
-def assert_relocations_match_the_edge_list_oracle(seen) -> None:
+def assert_relocations_match_the_edge_list_oracle(seen, bfs: bool = False) -> None:
+    """Each result equals the edge-list route's graph, and the distribution the
+    move derived for it equals the fold of a fresh twin (and, with ``bfs``, the
+    per-source BFS oracle's)."""
     for g, path, dest, out in seen:
         want = oracles.relocate_by_edges(g, path, dest)
         assert out == want, (g.edges(), path, dest)  # n, rows and edge_count
+        assert "_distribution" in out.__dict__  # derived by the move, not folded
+        moved = distance_distribution(out)
+        assert moved == distance_distribution(Graph(out.n, out.adj, out.edge_count)), (
+            g.edges(), path, dest
+        )
+        if bfs:
+            assert moved == oracles.bfs_distance_distribution(out), (g.edges(), path, dest)
 
 
 class TestRelocation:
-    """``_relocate`` edits the input's rows; the edge-list route it replaced
-    is the oracle, and ProofMoveError takes over from_edges' refusals."""
+    """``_relocate`` edits the input's rows and derives the result's
+    distribution from the input's; the edge-list route it replaced and a fresh
+    fold are the oracles, and ProofMoveError takes over from_edges' refusals."""
 
     def test_every_move_on_the_class_representatives(self, relocations):
         merges = rebalances = 0
@@ -614,7 +640,7 @@ class TestRelocation:
         # TestMovesOnClassRepresentatives' sweeps, cut at n = 10
         assert (merges, rebalances) == (4382, 293)
         assert len(relocations) == merges + rebalances
-        assert_relocations_match_the_edge_list_oracle(relocations)
+        assert_relocations_match_the_edge_list_oracle(relocations, bfs=True)
 
     def test_every_move_of_seeded_searches(self, relocations):
         moves = []
@@ -628,6 +654,29 @@ class TestRelocation:
 
     # a triangle 0-1-2 with the path 0-3-4 hanging at 0
     TRIANGLE_PATH = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4)])
+
+    # two claws, 0 over 1, 2, 3 and 3 over 4, 5, 6, with the leaf 7 beyond 6
+    CLAWS = Graph.from_edges(8, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (3, 6), (6, 7)])
+    # a claw at 0 over 1, 2, 3, and 4 beyond 3 over 5 and 6, with the leaf 7 beyond 6
+    SPIDER = Graph.from_edges(8, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (4, 6), (6, 7)])
+
+    @pytest.mark.parametrize(
+        "g, path, dest",
+        [
+            (TRIANGLE_PATH, [0, 3, 4], 1),
+            (CLAWS, [3, 6, 7], 0),
+            (path(6), [2, 1, 0], 5),
+            (SPIDER, [4, 6, 7], 1),
+            (star(5), [0, 1], 2),
+        ],
+        ids=["degree-2", "degree-3", "walk-into-the-path", "walk-to-another-major",
+             "walk-to-the-anchor"],
+    )
+    def test_any_destination_off_the_path(self, relocations, g, path, dest):
+        """Both moves hang the path beyond a leaf whose walk stops at a major
+        vertex; the derived distribution holds for any destination."""
+        extremal._relocate(g, path, dest)
+        assert_relocations_match_the_edge_list_oracle(relocations, bfs=True)
 
     @pytest.mark.parametrize("dest", [0, 3, 4])
     def test_a_destination_on_the_path_is_refused(self, dest):

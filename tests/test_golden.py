@@ -14,6 +14,7 @@ from wienerbounds.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 TADPOLE_3_6 = str(GOLDEN / "tadpole_3_6.txt")
 TRIANGLE_STAR_6 = str(GOLDEN / "triangle_star_6.txt")
+UNICYCLIC_22 = str(GOLDEN / "unicyclic_22.txt")
 
 # name -> (argv, exit code)
 CASES = {
@@ -42,6 +43,8 @@ CASES = {
     "lemmas_8_json": (["lemmas", "--nmax", "8", "--weight", "power:1"], 1),
     "lemmas_8_csv": (["--format", "csv", "lemmas", "--nmax", "8", "--weight", "power:1"], 1),
     "search_triangle_star_6": (["search", "--graph", TRIANGLE_STAR_6, "--weight", "power:1"], 0),
+    # a float weight over ten moves of both kinds: every value must stay the same to the bit
+    "search_unicyclic_22_q3": (["search", "--graph", UNICYCLIC_22, "--weight", "q3:1.5"], 0),
 }
 
 

@@ -4,7 +4,8 @@ distribution.
 They are kept outside the three fields, so equality, hashing, repr and
 pickling see only the fields; a failed derivation keeps nothing; and each
 graph runs at most one BFS from vertex 0 and one leaf peel, whichever public
-functions ask for them and in whatever order.
+functions ask for them and in whatever order.  A relocation move's result
+takes its distribution from the move, not from a peel of its own.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 import oracles
 from wienerbounds import graphs, indices
 from wienerbounds.enumeration import prufer_to_tree, random_unicyclic
-from wienerbounds.extremal import local_search_max
+from wienerbounds.extremal import apply_terminal_merge, local_search_max
 from wienerbounds.families import cycle, path, star, tadpole, triangle_star
 from wienerbounds.graphs import (
     DisconnectedGraphError,
@@ -167,8 +168,12 @@ def test_one_bfs_and_one_peel_per_unicyclic_graph(monkeypatch, order):
 
 def test_a_local_search_derives_each_graph_once(monkeypatch):
     """Every graph of the search, the start and each move's result, gets one
-    connectivity BFS and one peel; the only other BFS are the two anchor BFS
-    of each tail rebalance."""
+    connectivity BFS.  Only the start folds its distribution from a peel:
+    each move derives its result's from its input's, with one BFS from the
+    moved path's anchor, and for a tail rebalance one more from the other
+    anchor, where the destination's bare path hangs.  So the only other
+    peels are those of ``find_cycle`` on each tail rebalance's input, and
+    the only other BFS the two anchor BFS of each tail rebalance."""
     counted = Counted(monkeypatch)
     rng = random.Random(1)
     for _ in range(5):
@@ -177,8 +182,30 @@ def test_a_local_search_derives_each_graph_once(monkeypatch):
         counted.bfs = counted.peel = 0
         local_search_max(g0, PowerWeight(1), on_move=lambda move, a, b: moves.append(move.kind))
         built = 1 + len(moves)
-        assert counted.peel == built
-        assert counted.bfs == built + 2 * moves.count("tail-rebalance")
+        rebalances = moves.count("tail-rebalance")
+        assert rebalances  # the rebalance inputs are moved graphs, not g0
+        assert counted.peel == 1 + rebalances
+        assert counted.bfs == built + len(moves) + rebalances + 2 * rebalances
+
+
+def test_a_moved_graph_drops_its_peel_once_its_cycle_is_known():
+    """A moved graph never folds, so ``find_cycle`` is the last reader of its
+    peel and drops it; the cycle is the one its fresh twin finds."""
+    rng = random.Random(2)
+    moved = []
+    while len(moved) < 20:
+        g = random_unicyclic(rng.randrange(6, 30), rng)
+        report = major_vertex_report(g)
+        if report.multi_terminal_majors:
+            w = min(report.multi_terminal_majors)
+            moved.append(apply_terminal_merge(g, w, *report.terminals[w][:2]))
+    for out in moved:
+        assert "_distribution" in out.__dict__ and "_core" not in out.__dict__
+        cycle = find_cycle(out)
+        assert "_core" not in out.__dict__
+        twin = Graph(out.n, out.adj, out.edge_count)
+        assert cycle == find_cycle(twin)
+        assert distance_distribution(out) == distance_distribution(twin)
 
 
 @pytest.mark.parametrize("r, n", [(750, 1500), (9, 30), (40, 41)])
