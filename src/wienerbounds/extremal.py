@@ -30,7 +30,6 @@ from .enumeration import (
 )
 from .families import tadpole, triangle_star
 from .graphs import (
-    DisconnectedGraphError,
     Graph,
     GraphError,
     NotUnicyclicError,
@@ -38,7 +37,6 @@ from .graphs import (
     _pendant_walk,
     bfs_distances,
     find_cycle,
-    is_connected,
     is_unicyclic,
     major_vertex_report,
 )
@@ -136,6 +134,8 @@ class ScanSummary(NamedTuple):
     def merged(self, other: "ScanSummary") -> "ScanSummary":
         if other.n != self.n:
             raise ValueError("cannot merge scans for different n")
+        if len(other.per_weight) != len(self.per_weight):
+            raise ValueError("cannot merge scans of different weights")
         return ScanSummary(
             self.n,
             self.graphs_scanned + other.graphs_scanned,
@@ -149,21 +149,30 @@ def _weight_tables(n: int, weights: Sequence[WeightFunction]) -> list[list]:
     return [[0] + [h(k) for k in range(1, n - 1)] for h in weights]
 
 
-def _offer(tables: list, scans: list[WeightScan], counts, copies: int, key) -> None:
-    """Fold each weight over the unordered pair counts left to right from
-    int 0, the one rule both scans share so that their float values agree to
-    the bit (``reduce``, as from Python 3.12 ``sum`` compensates rounding; a
-    zero count adds a zero, as every weight value is finite), and offer the value
-    to both sides of its scan for ``copies`` labeled graphs.  ``key()`` gives
-    the class key; it is called only when a side ties or beats its running
-    extreme, and at most once."""
-    found = None
-    for tab, sc in zip(tables, scans):
-        val = reduce(operator.add, map(operator.mul, counts, tab), 0)
-        for side in (sc.lo, sc.hi):
-            if side.value is None or not side.better(side.value, val):
-                found = found or {key()}
-                side.offer(val, found, copies)
+def _scan(n: int, weights: Sequence[WeightFunction], items) -> ScanSummary:
+    """The one scan loop.  Each item (r, copies, counts, key) stands for
+    ``copies`` labeled graphs with an r-cycle and the unordered pair counts
+    ``counts`` by distance.  Each weight is folded over the counts left to
+    right from int 0, the one rule both scans share so that their float
+    values agree to the bit (``reduce``, as from Python 3.12 ``sum``
+    compensates rounding; a zero count adds a zero, as every weight value is
+    finite), and the value is offered to both sides of its scan.  ``key()``
+    gives the class key; it is called only when a side ties or beats its
+    running extreme, and at most once per item."""
+    tables = _weight_tables(n, weights)
+    scans = [WeightScan(h.description) for h in weights]
+    graphs = cyclen_sum = 0
+    for r, copies, counts, key in items:
+        graphs += copies
+        cyclen_sum += r * copies
+        found = None
+        for tab, sc in zip(tables, scans):
+            val = reduce(operator.add, map(operator.mul, counts, tab), 0)
+            for side in (sc.lo, sc.hi):
+                if side.value is None or not side.better(side.value, val):
+                    found = found or {key()}
+                    side.offer(val, found, copies)
+    return ScanSummary(n, graphs, cyclen_sum, scans)
 
 
 def scan_extremes(
@@ -176,35 +185,30 @@ def scan_extremes(
     graph is keyed only when its value ties or beats a running extreme).
     This is the labeled oracle: its summary equals ``scan_classes``'s."""
     stream = iter_unicyclic_edge_masks(n, shard)  # refuses a bad n or shard on the call
-    tables = _weight_tables(n, weights)
-    scans = [WeightScan(h.description) for h in weights]
-    graphs = 0
-    cyclen_sum = 0
-    counts = [0] * n
-    for masks, cyclen in stream:
-        graphs += 1
-        cyclen_sum += cyclen
-        for d in range(n):
-            counts[d] = 0
-        for s in range(n):
-            seen = frontier = 1 << s
-            above = -2 << s  # each pair counted once, from its smaller end
-            d = 0
-            while True:
-                m = 0
-                while frontier:
-                    b = frontier & -frontier
-                    m |= masks[b.bit_length() - 1]
-                    frontier ^= b
-                m &= ~seen
-                if not m:
-                    break
-                seen |= m
-                d += 1
-                counts[d] += (m & above).bit_count()
-                frontier = m
-        _offer(tables, scans, counts, 1, lambda: class_key(n, masks))
-    return ScanSummary(n, graphs, cyclen_sum, scans)
+
+    def items():
+        for masks, cyclen in stream:
+            counts = [0] * n
+            for s in range(n):
+                seen = frontier = 1 << s
+                above = -2 << s  # each pair counted once, from its smaller end
+                d = 0
+                while True:
+                    m = 0
+                    while frontier:
+                        b = frontier & -frontier
+                        m |= masks[b.bit_length() - 1]
+                        frontier ^= b
+                    m &= ~seen
+                    if not m:
+                        break
+                    seen |= m
+                    d += 1
+                    counts[d] += (m & above).bit_count()
+                    frontier = m
+            yield cyclen, 1, counts, lambda: class_key(n, masks)
+
+    return _scan(n, weights, items())
 
 
 def scan_classes(
@@ -218,17 +222,9 @@ def scan_classes(
     folds it, so float extremes are the same to the bit.  Shard (i, k) takes
     the classes i, i + k, i + 2k, ... of the class stream."""
     classes = iter_unicyclic_classes(n, shard)  # refuses a bad n or shard on the call
-    tables = _weight_tables(n, weights)
-    scans = [WeightScan(h.description) for h in weights]
     orbit = math.factorial(n)
-    graphs = 0
-    cyclen_sum = 0
-    for r, key, aut, counts in classes:
-        copies = orbit // aut
-        graphs += copies
-        cyclen_sum += r * copies
-        _offer(tables, scans, counts, copies, lambda: key)
-    return ScanSummary(n, graphs, cyclen_sum, scans)
+    items = ((r, orbit // aut, counts, lambda key=key: key) for r, key, aut, counts in classes)
+    return _scan(n, weights, items)
 
 
 # Below this n the whole class scan takes no longer than starting the worker
@@ -439,18 +435,19 @@ class ProofMove(NamedTuple):
     vertices: tuple[int, ...]
 
 
-def _relocate(g: Graph, path: list[int], dest: int) -> Graph:
+def _relocate(g: Graph, path: list[int], onto: list[int], dists: tuple[list, list]) -> Graph:
     """Detach the pendant path ``path`` (anchor first, leaf last) from its
-    anchor and re-attach it beyond ``dest``.  The detached labels are reused
-    in ascending order along the new path, so the result is deterministic
-    and has the same vertex and edge counts.
+    anchor and re-attach it beyond ``dest``, the last vertex of the bare walk
+    ``onto``.  The detached labels are reused in ascending order along the new
+    path, so the result is deterministic and has the same vertex and edge counts.
 
     The result is built from copies of the input's rows, not re-validated
     edge by edge: the move can make a loop or a duplicate edge only if
     ``dest`` is on the path or a detached vertex keeps an edge off it, and
     both raise ProofMoveError.  Its distance distribution is derived from the
-    input's (``_moved_distribution``), which needs the connected input that
-    both moves check for."""
+    input's (``_moved_distribution``) and ``dists``, the BFS rows of the
+    connected input from the anchor and from ``onto[0]`` that the move ran."""
+    dest = onto[-1]
     if dest in path:
         raise ProofMoveError(f"destination {dest} lies on the moved path")
     rows = [list(row) for row in g.adj]
@@ -465,7 +462,7 @@ def _relocate(g: Graph, path: list[int], dest: int) -> Graph:
         rows[v].append(attach)
         attach = v
     out = Graph(g.n, tuple(tuple(sorted(row)) for row in rows), g.edge_count)
-    out.__dict__["_distribution"] = _moved_distribution(g, path, dest)  # what it would fold
+    out.__dict__["_distribution"] = _moved_distribution(g, path, onto, dists)  # what it would fold
     return out
 
 
@@ -481,15 +478,14 @@ def apply_terminal_merge(g: Graph, w: int, u1: int, u2: int) -> Graph:
         raise ProofMoveError(f"vertex {w} has degree {g.degree(w)} < 3")
     if u1 == u2:
         raise ProofMoveError("the two terminal vertices must differ")
-    if not is_connected(g):
-        raise DisconnectedGraphError("terminal merge needs a connected graph")
+    from_w = bfs_distances(g, w)  # refuses a disconnected graph
     paths = []
     for u in (u1, u2):  # terminal: an end-vertex whose pendant walk ends at w
         leaf = 0 <= u < g.n and g.degree(u) == 1
         if not (leaf and (walk := _pendant_walk(g, u, g.adj[u][0]))[-1] == w):
             raise ProofMoveError(f"vertex {u} is not a terminal vertex of {w}")
         paths.append(walk[::-1])
-    return _relocate(g, paths[0], u2)
+    return _relocate(g, paths[0], paths[1], (from_w, from_w))
 
 
 def _cycle_tail(g: Graph, v: int, cycle: set[int]) -> list[int]:
@@ -521,13 +517,10 @@ def apply_tail_rebalance(g: Graph, v1: int, v2: int) -> Graph:
         raise ProofMoveError(f"vertices {v1}, {v2} must be distinct cycle vertices")
     tails = [_cycle_tail(g, v, cycle) for v in (v1, v2)]
     excluded = set(tails[0] + tails[1])
-
-    def order(tail: list[int]) -> tuple[int, int, int]:
-        dist = bfs_distances(g, tail[0])
-        return sum(dist[x] for x in range(g.n) if x not in excluded), len(tail) - 1, tail[0]
-
-    ta, tb = sorted(tails, key=order)
-    return _relocate(g, ta, tb[-1])
+    dists = [bfs_distances(g, v) for v in (v1, v2)]
+    off = [sum(d for x, d in enumerate(dist) if x not in excluded) for dist in dists]  # D
+    a, b = sorted((0, 1), key=lambda i: (off[i], len(tails[i]), tails[i][0]))
+    return _relocate(g, tails[a], tails[b], (dists[a], dists[b]))
 
 
 def local_search_max(

@@ -17,10 +17,11 @@ A ``Graph`` never changes, so it derives each of these facts once, on first
 use: its connectivity (one BFS from vertex 0), and its cycle and distance
 distribution (one leaf peel between them).  A relocation move hands its
 result a distribution derived from its input's (``_moved_distribution``:
-one or two BFS and the moved path's delta), so that graph peels only if its
-cycle is asked for.  The facts live outside the three fields, so they never enter
-``==``, ``hash``, ``repr`` or a pickle, and the one cached distribution is
-handed to every caller, read-only.
+the moved path's delta, from the bare walk and the BFS rows the move
+already has), so that graph peels only if its cycle is asked for.  The
+facts live outside the three fields, so they never enter ``==``, ``hash``,
+``repr`` or a pickle, and the one cached distribution is handed to every
+caller, read-only.
 """
 
 from __future__ import annotations
@@ -166,6 +167,10 @@ class DistanceDistribution(FrozenRecord):
 
     def __reduce__(self):
         return DistanceDistribution, (dict(self.counts), self.n)
+
+    def __hash__(self) -> int:
+        """By n and the counts, as ``==`` compares them: the read-only view does not hash."""
+        return hash((frozenset(self.counts.items()), self.n))
 
     def total_pairs(self) -> int:
         return sum(self.counts.values())
@@ -392,10 +397,12 @@ def _unpacked(pairs: int, n: int, width: int) -> DistanceDistribution:
     return DistanceDistribution({d: c for d, c in enumerate(coefs) if c}, n)
 
 
-def _moved_distribution(g: Graph, path: Sequence[int], dest: int) -> DistanceDistribution:
+def _moved_distribution(
+    g: Graph, path: Sequence[int], onto: Sequence[int], dists: tuple[list[int], list[int]]
+) -> DistanceDistribution:
     """The distance distribution of ``g`` once its pendant path ``path`` = (a, p_1, ..., p_k),
-    anchor first and leaf last, is detached from a and hung beyond ``dest`` = d, derived from
-    ``g``'s own distribution.  ``g`` must be connected, and d off the path.
+    anchor first and leaf last, is detached from a and hung beyond d, the last vertex of
+    ``onto``, derived from ``g``'s own distribution.  ``g`` must be connected.
 
     Lemma.  Let R = G - {p_1, ..., p_k}, S = x + ... + x^k and D_R(v) = sum over y in R of
     x^d_R(v, y).  The moved graph G' has the distribution of G plus S * (D_R(d) - D_R(a)).
@@ -409,27 +416,21 @@ def _moved_distribution(g: Graph, path: Sequence[int], dest: int) -> DistanceDis
     y in R before the move and i + d_R(d, y) after it.  Only these pairs change: S * D_R(a)
     becomes S * D_R(d).
 
-    No BFS from d is needed when d ends a bare path: when d is a leaf whose walk through
-    degree-2 vertices (``_pendant_walk``) stops after m steps at a vertex c of degree 3 or more,
-    that walk never entered P (a walk into P runs on to the leaf p_k), so it is a path of R,
-    and every path from d to the rest of R runs through c.  Then D_R(d) = x^m * (D_R(c) - T)
-    + T, with T = 1 + x + ... + x^m for the walk's own vertices.  Otherwise c = d and m = 0.
-    One BFS over G from a and one from c give both D_R, and one BFS does when c = a, as in a
-    terminal merge.  The p_i are i steps beyond a and t + i beyond c, with t = d(c, a), so
-    D_R(a) = D_G(a) - S and D_R(c) = D_G(c) - x^t * S.  The polynomials are packed
-    ``_field_width`` apart.  The delta may have negative coefficients, but the sum is the packed
-    distribution of G', whose counts lie in 0..C(n, 2), so it decodes exactly.
+    ``onto`` = (c, v_1, ..., v_m = d) is a walk of G that meets P at most in c = a, with
+    v_1..v_{m-1} of degree 2 and d a leaf when m > 0; [d], for any d off P, is one.  Every path
+    from d to the rest of R runs through c, so D_R(d) = x^m * (D_R(c) - T) + T, with
+    T = 1 + x + ... + x^m for the walk's own vertices.  ``dists`` holds the BFS distances over G
+    from a and from c, one list twice when c = a.  The p_i are i steps beyond a and t + i beyond
+    c, with t = d(c, a), so D_R(a) = D_G(a) - S and D_R(c) = D_G(c) - x^t * S.  The polynomials
+    are packed ``_field_width`` apart.  The delta may have negative coefficients, but the sum is
+    the packed distribution of G', whose counts lie in 0..C(n, 2), so it decodes exactly.
     """
     w = _field_width(g.n)
-    a = path[0]
+    from_a, from_c = dists
+    c, m = onto[0], len(onto) - 1
     old = sum(count << w * k for k, count in distance_distribution(g).counts.items())
-    walk = _pendant_walk(g, dest, g.adj[dest][0]) if len(g.adj[dest]) == 1 else [dest]
-    if len(g.adj[walk[-1]]) < 3:  # d is no leaf, or its walk ran into P
-        walk = [dest]
-    c, m = walk[-1], len(walk) - 1
-    from_a = _bfs(g.adj, a)[0]
     dga = sum(1 << w * t for t in from_a)  # D_G(a)
-    dgc = dga if c == a else sum(1 << w * t for t in _bfs(g.adj, c)[0])  # D_G(c)
+    dgc = dga if c == path[0] else sum(1 << w * t for t in from_c)  # D_G(c)
     s = sum(1 << w * i for i in range(1, len(path)))
     bare = sum(1 << w * j for j in range(m + 1))  # T
     drd = (1 << w * m) * (dgc - (1 << w * from_a[c]) * s - bare) + bare  # D_R(d)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from wienerbounds import extremal
+from wienerbounds import extremal, graphs
 from wienerbounds.closed_forms import tadpole_closed_form, triangle_star_closed_form
 from wienerbounds.enumeration import (
     MAX_CLASS_N,
@@ -49,6 +49,8 @@ from wienerbounds.weights import (
 
 import oracles
 
+RELOCATE = extremal._relocate  # the move itself, before any fixture wraps it
+
 
 @pytest.fixture(autouse=True)
 def moves_match_a_fresh_fold(monkeypatch):
@@ -56,10 +58,10 @@ def moves_match_a_fresh_fold(monkeypatch):
     input's; it must equal the fold of a fresh twin of the result."""
     real = extremal._relocate
 
-    def checked(g, path, dest):
-        out = real(g, path, dest)
+    def checked(g, path, onto, dists):
+        out = real(g, path, onto, dists)
         twin = Graph(out.n, out.adj, out.edge_count)
-        assert distance_distribution(out) == distance_distribution(twin), (g.edges(), path, dest)
+        assert distance_distribution(out) == distance_distribution(twin), (g.edges(), path, onto)
         return out
 
     monkeypatch.setattr(extremal, "_relocate", checked)
@@ -260,6 +262,13 @@ class TestVerifyTheorem:
             part.merged(extremal.scan_classes(5, [PowerWeight(2)]))
         with pytest.raises(ValueError, match="cannot merge scans of different weights"):
             part.per_weight[0].merged(extremal.scan_classes(5, [PowerWeight(-1)]).per_weight[0])
+        # a shard of two weights and one of the first alone: one weight would
+        # come back with both shards' totals, and the other dropped
+        two = extremal.scan_classes(6, [PowerWeight(1), PowerWeight(2)], (0, 2))
+        one = extremal.scan_classes(6, [PowerWeight(1)], (1, 2))
+        for a, b in ((two, one), (one, two)):
+            with pytest.raises(ValueError, match="cannot merge scans of different weights"):
+                a.merged(b)
 
     @pytest.mark.parametrize("n, argmin, argmax", [(6, 60, 360), (7, 105, 2520)])
     def test_attaining_counts_are_orbit_sizes(self, n, argmin, argmax):
@@ -406,7 +415,7 @@ class TestTerminalMerge:
 
     def test_disconnected_input_raises(self):
         g = Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (1, 2), (5, 6)])
-        with pytest.raises(DisconnectedGraphError):
+        with pytest.raises(DisconnectedGraphError, match="^vertex 4 is unreachable from vertex 0$"):
             apply_terminal_merge(g, 0, 3, 4)
 
     def test_checks_only_its_two_vertices(self, monkeypatch):
@@ -590,13 +599,13 @@ class TestMovesOnClassRepresentatives:
 @pytest.fixture
 def relocations(monkeypatch):
     """Every call of ``extremal._relocate`` while the test runs, as
-    (graph, path, dest, result); the moves look the name up at call time."""
+    (graph, path, onto, dists, result); the moves look the name up at call time."""
     seen = []
     real = extremal._relocate
 
-    def spy(g, path, dest):
-        out = real(g, path, dest)
-        seen.append((g, list(path), dest, out))
+    def spy(g, path, onto, dists):
+        out = real(g, path, onto, dists)
+        seen.append((g, list(path), list(onto), dists, out))
         return out
 
     monkeypatch.setattr(extremal, "_relocate", spy)
@@ -607,16 +616,21 @@ def assert_relocations_match_the_edge_list_oracle(seen, bfs: bool = False) -> No
     """Each result equals the edge-list route's graph, and the distribution the
     move derived for it equals the fold of a fresh twin (and, with ``bfs``, the
     per-source BFS oracle's)."""
-    for g, path, dest, out in seen:
-        want = oracles.relocate_by_edges(g, path, dest)
-        assert out == want, (g.edges(), path, dest)  # n, rows and edge_count
+    for g, path, onto, _, out in seen:
+        want = oracles.relocate_by_edges(g, path, onto[-1])
+        assert out == want, (g.edges(), path, onto)  # n, rows and edge_count
         assert "_distribution" in out.__dict__  # derived by the move, not folded
         moved = distance_distribution(out)
         assert moved == distance_distribution(Graph(out.n, out.adj, out.edge_count)), (
-            g.edges(), path, dest
+            g.edges(), path, onto
         )
         if bfs:
-            assert moved == oracles.bfs_distance_distribution(out), (g.edges(), path, dest)
+            assert moved == oracles.bfs_distance_distribution(out), (g.edges(), path, onto)
+
+
+def relocate(g: Graph, path: list[int], onto: list[int]) -> Graph:
+    """``extremal._relocate`` handed the BFS rows from the anchor and from ``onto[0]``."""
+    return extremal._relocate(g, path, onto, (bfs_distances(g, path[0]), bfs_distances(g, onto[0])))
 
 
 class TestRelocation:
@@ -673,26 +687,50 @@ class TestRelocation:
              "walk-to-the-anchor"],
     )
     def test_any_destination_off_the_path(self, relocations, g, path, dest):
-        """Both moves hang the path beyond a leaf whose walk stops at a major
-        vertex; the derived distribution holds for any destination."""
-        extremal._relocate(g, path, dest)
+        """Both moves hang the path beyond the end of a bare walk; the derived
+        distribution holds for any destination handed as the walk [dest], and
+        a leaf's bare walk, cut where it reaches the anchor, gives the same."""
+        out = relocate(g, path, [dest])
+        if g.degree(dest) == 1:
+            walk = graphs._pendant_walk(g, dest, g.adj[dest][0])
+            if path[0] in walk:
+                walk = walk[: walk.index(path[0]) + 1]
+            walked = relocate(g, path, walk[::-1])
+            assert walked == out
+            assert distance_distribution(walked) == distance_distribution(out)
         assert_relocations_match_the_edge_list_oracle(relocations, bfs=True)
+
+    def test_the_move_runs_no_bfs_and_no_walk_of_its_own(self, relocations, monkeypatch):
+        """Each move hands ``_relocate`` the walk and the BFS rows it already
+        has: replayed on the same inputs, ``_relocate`` calls neither."""
+        rng = random.Random(7)
+        for _ in range(10):
+            local_search_max(random_unicyclic(rng.randrange(8, 30), rng), PowerWeight(1))
+        assert max(len(onto) for _, _, onto, _, _ in relocations) > 2  # bare walks, not [d]
+        calls = []
+        for module in (graphs, extremal):
+            monkeypatch.setattr(module, "_pendant_walk", lambda *a: calls.append(a))
+        monkeypatch.setattr(graphs, "_bfs", lambda *a: calls.append(a))
+        for g, path, onto, dists, out in relocations:
+            again = RELOCATE(g, path, onto, dists)
+            assert again == out and distance_distribution(again) == distance_distribution(out)
+        assert calls == []
 
     @pytest.mark.parametrize("dest", [0, 3, 4])
     def test_a_destination_on_the_path_is_refused(self, dest):
         with pytest.raises(ProofMoveError, match=f"^destination {dest} lies on the moved path$"):
-            extremal._relocate(self.TRIANGLE_PATH, [0, 3, 4], dest)
+            relocate(self.TRIANGLE_PATH, [0, 3, 4], [dest])
 
     def test_a_loop_is_refused_where_from_edges_refused_it(self):
         with pytest.raises(GraphError, match="self-loop"):
             oracles.relocate_by_edges(self.TRIANGLE_PATH, [0, 3, 4], 3)
         with pytest.raises(ProofMoveError):
-            extremal._relocate(self.TRIANGLE_PATH, [0, 3, 4], 3)
+            relocate(self.TRIANGLE_PATH, [0, 3, 4], [3])
 
     def test_a_path_vertex_with_another_edge_is_refused(self):
         # 3 hangs at 0 and also touches 4, so [0, 3] is no pendant path
         with pytest.raises(ProofMoveError, match="^vertex 3 of the moved path has an edge off it$"):
-            extremal._relocate(self.TRIANGLE_PATH, [0, 3], 1)
+            relocate(self.TRIANGLE_PATH, [0, 3], [1])
 
     def test_a_duplicate_edge_is_refused_where_from_edges_refused_it(self):
         # two triangles sharing 1-2: moving 2-3 beyond 1 would add 1-3 twice
@@ -700,7 +738,7 @@ class TestRelocation:
         with pytest.raises(GraphError, match="duplicate edge"):
             oracles.relocate_by_edges(g, [2, 3], 1)
         with pytest.raises(ProofMoveError, match="^vertex 3 of the moved path has an edge off it$"):
-            extremal._relocate(g, [2, 3], 1)
+            relocate(g, [2, 3], [1])
 
 
 class TestRandomSearches:

@@ -169,11 +169,11 @@ def test_one_bfs_and_one_peel_per_unicyclic_graph(monkeypatch, order):
 def test_a_local_search_derives_each_graph_once(monkeypatch):
     """Every graph of the search, the start and each move's result, gets one
     connectivity BFS.  Only the start folds its distribution from a peel:
-    each move derives its result's from its input's, with one BFS from the
-    moved path's anchor, and for a tail rebalance one more from the other
-    anchor, where the destination's bare path hangs.  So the only other
-    peels are those of ``find_cycle`` on each tail rebalance's input, and
-    the only other BFS the two anchor BFS of each tail rebalance."""
+    each move derives its result's from its input's and the BFS rows the
+    move already ran, one from the major vertex of a terminal merge and one
+    from each anchor of a tail rebalance, which also rank the anchors.  So
+    the only other peels are those of ``find_cycle`` on each tail
+    rebalance's input, and the only other BFS those rows."""
     counted = Counted(monkeypatch)
     rng = random.Random(1)
     for _ in range(5):
@@ -185,7 +185,7 @@ def test_a_local_search_derives_each_graph_once(monkeypatch):
         rebalances = moves.count("tail-rebalance")
         assert rebalances  # the rebalance inputs are moved graphs, not g0
         assert counted.peel == 1 + rebalances
-        assert counted.bfs == built + len(moves) + rebalances + 2 * rebalances
+        assert counted.bfs == built + len(moves) + rebalances
 
 
 def test_a_moved_graph_drops_its_peel_once_its_cycle_is_known():

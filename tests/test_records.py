@@ -19,7 +19,14 @@ from wienerbounds.extremal import (
     VerificationReport,
     WeightScan,
 )
-from wienerbounds.graphs import CycleInfo, DistanceDistribution, Graph, MajorVertexReport
+from wienerbounds.families import cycle
+from wienerbounds.graphs import (
+    CycleInfo,
+    DistanceDistribution,
+    Graph,
+    MajorVertexReport,
+    distance_distribution,
+)
 from wienerbounds.indices import IndexValue
 from wienerbounds.weights import Monotonicity, PowerWeight, QWienerWeight, TableWeight
 
@@ -128,7 +135,7 @@ CASES = {
 }
 # the records whose fields are all hashable, and the field of each frozen one
 HASHABLE = {"Graph", "CycleInfo", "PowerWeight", "QWienerWeight", "TableWeight"}
-HASHABLE |= {"IndexValue", "ProofMove", "_RootedTree", "TreeScan"}
+HASHABLE |= {"DistanceDistribution", "IndexValue", "ProofMove", "_RootedTree", "TreeScan"}
 FROZEN_FIELD = {
     "Graph": "n",
     "DistanceDistribution": "counts",
@@ -180,6 +187,22 @@ def test_assigning_a_field_of_a_frozen_record_raises(name):
     with pytest.raises(AttributeError):
         setattr(record, field, 99)
     assert getattr(record, field) is before and record == CASES[name][0]()
+
+
+def test_equal_distance_distributions_hash_equal():
+    """A distribution hashes by n and its counts, as ``==`` compares them, so
+    one built apart, in another order or back from a pickle finds it in a set
+    and as a dict key."""
+    c5 = distance_distribution(cycle(5))
+    twins = [
+        DistanceDistribution({1: 5, 2: 5}, 5),
+        DistanceDistribution({2: 5, 1: 5}, 5),
+        pickle.loads(pickle.dumps(c5)),
+    ]
+    for twin in twins:
+        assert twin == c5 and hash(twin) == hash(c5)
+        assert twin in {c5} and {c5: "C5"}[twin] == "C5"
+    assert len({c5, *twins, DistanceDistribution({1: 5, 2: 5}, 6)}) == 2
 
 
 def test_weight_scans_never_share_a_side():
